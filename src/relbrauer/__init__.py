@@ -37,6 +37,7 @@ from .cocycle import (
     cocycle_function_divisor,
     cyclic_reduce,
     line_function,
+    pairing_scalar,
     relative_brauer,
     sum_witness,
     two_cocycle,
@@ -114,6 +115,7 @@ __all__ = [
     "kronecker_symbol",
     "line_function",
     "mth_power_free_part",
+    "pairing_scalar",
     "poly_gcd",
     "quaternion_class_equal",
     "quaternion_group_invariants",

@@ -6,6 +6,11 @@ functions on the curve, a 2-cocycle with constant rational values, which
 collapses to a single scalar b; the pair (extension descriptor, b) is a
 cyclic-algebra class in the relative Brauer group of the associated
 homogeneous space.
+
+The pairing computes b directly as the norm of one function,
+b = prod_{k=0}^{m-1} (translate of f_1 by [k]t), which is what the
+2-cocycle table reduces to; two_cocycle and cyclic_reduce build and reduce
+the full table and remain as the reference.
 """
 
 from __future__ import annotations
@@ -218,17 +223,39 @@ def cyclic_reduce(tc: TwoCocycle) -> Fraction:
     return b
 
 
+def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
+    """The scalar b of (cocycle, p), as the norm of f_1 = cocycle_function
+    at shift t: b = prod_{k=0}^{m-1} (translate of f_1 by [k]t).
+
+    In cyclic_reduce(two_cocycle(cocycle, p)) = prod_{i=1}^{m-1} c(i, 1),
+    with c(i, 1) = f_i * (translate of f_1 by [i]t) / f_{i+1}, the f_i
+    telescope away because f_m = f_0 = 1, so both give the same b; this
+    takes m - 1 translates instead of the table's m^2.
+    """
+    curve = cocycle.curve
+    curve._require(p)
+    f1 = cocycle_function(curve, cocycle.t, p)
+    norm, shift = f1, INFINITY
+    for _ in range(cocycle.m - 1):
+        shift = curve.add(shift, cocycle.t)
+        norm = norm * f1.translate(shift)
+    b = norm.is_constant()
+    if b is None:
+        raise NonConstantCocycleValue("the norm of the pairing function is not a constant")
+    return b
+
+
 def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebraClass:
     """The Brauer class paired with the point p, as a cyclic algebra over ext.
 
-    ext must be a degree-m extension descriptor; the class scalar is reported
-    raw and in m-th-power-free form.
+    ext must be a degree-m extension descriptor; the class scalar b comes
+    from pairing_scalar and is reported raw and in m-th-power-free form.
     """
     if ext.degree != cocycle.m:
         raise ValueError(
             f"extension degree {ext.degree} does not match cocycle order {cocycle.m}"
         )
-    b = cyclic_reduce(two_cocycle(cocycle, p))
+    b = pairing_scalar(cocycle, p)
     return CyclicAlgebraClass(cocycle.m, ext, b, mth_power_free_part(b, cocycle.m))
 
 

@@ -225,11 +225,14 @@ def test_exit_code_factoring_limit(monkeypatch, capsys):
 
 def test_exit_code_nonconstant_cocycle(monkeypatch, capsys):
     import relbrauer.cocycle as cocycle_mod
+    from relbrauer.funcfield import EllFn
 
-    def explode(*args, **kwargs):
-        raise cocycle_mod.NonConstantCocycleValue("entry (1, 1) is not constant")
+    # a pairing function with the wrong divisor leaves a non-constant norm,
+    # which the pairing's own constancy check must refuse with exit code 3
+    def wrong_function(curve, shift, p):
+        return EllFn.coordinate_x(curve)
 
-    monkeypatch.setattr(cocycle_mod, "two_cocycle", explode)
+    monkeypatch.setattr(cocycle_mod, "cocycle_function", wrong_function)
     code = main(
         ["pairing", "--curve", "0,-1,1,-10,-20", "--t", "5,5", "--m", "5",
          "--p", "5,5", "--ext", "cyclo:11:10"]

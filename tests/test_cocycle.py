@@ -19,6 +19,7 @@ from relbrauer import (
     cocycle_function_divisor,
     cyclic_reduce,
     line_function,
+    pairing_scalar,
     relative_brauer,
     sum_witness,
     two_cocycle,
@@ -264,3 +265,53 @@ def test_cocycle_values_randomized_are_constant(mixed_torsion_curve):
         tc = two_cocycle(coc, p)
         assert verify_two_cocycle(tc)
         assert all(isinstance(v, F) and v != 0 for row in tc.values for v in row)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(0, -1, 1, -10, -20), (1, 1, 1, -10, -10), (0, 0, 0, -1, 0)]
+)
+def test_pairing_scalar_equals_reduced_table(coeffs):
+    # the norm of f_1 is the table's cyclic reduction, for every torsion pair
+    from relbrauer import torsion_subgroup
+
+    curve = WeierstrassCurve(*coeffs)
+    pts = torsion_subgroup(curve).elements
+    for t in pts:
+        coc = RationalCocycle(curve, curve.point_order(t), t)
+        for p in pts:
+            assert pairing_scalar(coc, p) == cyclic_reduce(two_cocycle(coc, p))
+
+
+def test_pairing_scalar_when_t_order_is_below_m(order5_curve, order5_gen):
+    for coc, p in [
+        (RationalCocycle(order5_curve, 3, INFINITY), order5_gen),
+        (RationalCocycle(order5_curve, 10, order5_gen), order5_gen),
+        (RationalCocycle(order5_curve, 10, order5_gen), CurvePoint(F(16), F(60))),
+    ]:
+        assert pairing_scalar(coc, p) == cyclic_reduce(two_cocycle(coc, p))
+
+
+def test_pairing_takes_m_minus_1_translates_and_no_table(monkeypatch, order5_curve, order5_gen):
+    import relbrauer.cocycle as cocycle_mod
+
+    calls = {"translate": 0, "function": 0}
+    translate, function = EllFn.translate, cocycle_mod.cocycle_function
+
+    def counted_translate(self, q):
+        calls["translate"] += 1
+        return translate(self, q)
+
+    def counted_function(*args):
+        calls["function"] += 1
+        return function(*args)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the pairing must not build the 2-cocycle table")
+
+    monkeypatch.setattr(EllFn, "translate", counted_translate)
+    monkeypatch.setattr(cocycle_mod, "cocycle_function", counted_function)
+    monkeypatch.setattr(cocycle_mod, "two_cocycle", no_table)
+    coc = RationalCocycle(order5_curve, 5, order5_gen)
+    alg = brauer_pairing(coc, order5_gen, Cyclotomic.from_generators(11, (10,)))
+    assert alg.b_raw == F(-1, 11)
+    assert calls == {"translate": 4, "function": 1}
