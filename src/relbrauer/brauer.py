@@ -64,9 +64,14 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Quadratic:
-    """The extension Q(sqrt(d)) for a squarefree integer d, degree 2."""
+    """The extension Q(sqrt(d)) for a squarefree integer d, degree 2.
+
+    primes holds the primes dividing d, ascending; the squarefree check
+    factors d once and the Hilbert-symbol sweeps reuse it.
+    """
 
     d: int
+    primes: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.d, int):
@@ -76,6 +81,7 @@ class Quadratic:
         _, exps = factor(self.d)
         if any(e > 1 for e in exps.values()):
             raise ValueError(f"d = {self.d} is not squarefree")
+        object.__setattr__(self, "primes", tuple(sorted(exps)))
 
     @property
     def degree(self) -> int:
@@ -102,6 +108,32 @@ class Quadratic:
         return f"Q(sqrt({self.d}))"
 
 
+def _check_closed(members: list[int], member_set: set[int], n: int) -> None:
+    """Raise unless the sorted residues are closed under multiplication mod n.
+
+    Closure is checked against a greedy generating set: each member outside
+    the span so far is a generator, and the span grows by multiplication
+    with it.  Every generator at least doubles the span, so this takes at
+    most 2|H| products; the span ends up equal to the members exactly when
+    they are closed.
+    """
+    in_span = bytearray(n)
+    in_span[1] = 1
+    span = [1]
+    for g in members:
+        if in_span[g]:
+            continue
+        # the loop also visits the products it appends, so the span ends up
+        # closed under multiplication by g
+        for a in span:
+            h = a * g % n
+            if h not in member_set:
+                raise ValueError("residue list is not closed under multiplication")
+            if not in_span[h]:
+                in_span[h] = 1
+                span.append(h)
+
+
 @dataclass(frozen=True)
 class Cyclotomic:
     """A cyclic subfield of Q(zeta_N): the fixed field of a subgroup H.
@@ -109,6 +141,10 @@ class Cyclotomic:
     H is a subgroup of (Z/N)* with cyclic quotient; the field degree is
     phi(N) / |H|.  Splitting of an unramified prime p is read off from the
     order of p*H in the quotient.
+
+    Validation checks closure with at most 2|H| products, then lists the
+    units mod N and looks for one whose coset has order phi(N) / |H|; that
+    search costs O(N) for a quadratic field and at most O(N * degree).
     """
 
     conductor: int
@@ -128,10 +164,7 @@ class Cyclotomic:
         if 1 not in members:
             raise ValueError("subgroup does not contain 1")
         member_set = set(members)
-        for g in members:
-            for h in members:
-                if g * h % n not in member_set:
-                    raise ValueError("residue list is not closed under multiplication")
+        _check_closed(members, member_set, n)
         units = [a for a in range(1, n) if gcd(a, n) == 1]
         m = len(units) // len(members)
         if not any(self._coset_order(a, member_set, m) == m for a in units):
@@ -256,14 +289,18 @@ def _odd_prime_support(r: Fraction) -> set[int]:
     return primes
 
 
-def quaternion_witness(a, b) -> int | None:
-    """Least finite prime where (a,b) fails locally, or None."""
-    a, b = Fraction(a), Fraction(b)
-    places = [2] + sorted(_odd_prime_support(a) | _odd_prime_support(b))
-    for p in places:
+def _least_failing_prime(a: Fraction, b: Fraction, odd_primes: set[int]) -> int | None:
+    # (a,b) can fail only at 2 and the odd primes dividing a or b
+    for p in [2] + sorted(odd_primes):
         if hilbert_symbol(a, b, p) == -1:
             return p
     return None
+
+
+def quaternion_witness(a, b) -> int | None:
+    """Least finite prime where (a,b) fails locally, or None."""
+    a, b = Fraction(a), Fraction(b)
+    return _least_failing_prime(a, b, _odd_prime_support(a) | _odd_prime_support(b))
 
 
 def quaternion_is_split(a, b) -> bool:
@@ -372,10 +409,12 @@ def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
     if alg.b_normalized == 1:
         return ClassStatus.trivial()
     if isinstance(alg.ext, Quadratic):
-        if quaternion_is_split(alg.ext.d, alg.b_raw):
+        # reciprocity: a real-place failure forces a finite one, so the
+        # class splits iff no finite prime fails
+        odd_primes = (set(alg.ext.primes) | _odd_prime_support(alg.b_raw)) - {2}
+        witness = _least_failing_prime(Fraction(alg.ext.d), alg.b_raw, odd_primes)
+        if witness is None:
             return ClassStatus.trivial()
-        witness = quaternion_witness(alg.ext.d, alg.b_raw)
-        # reciprocity: a real-place failure forces a finite one
         return ClassStatus.nontrivial(witness)
     witness = unramified_obstruction(alg)
     if witness is not None:
@@ -383,19 +422,19 @@ def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
     return ClassStatus.undetermined()
 
 
-def _require_same_quadratic(algs) -> int:
+def _require_same_quadratic(algs) -> Quadratic:
     exts = {alg.ext for alg in algs}
     if len(exts) != 1:
         raise ValueError("classes live over different extensions")
     ext = exts.pop()
     if not isinstance(ext, Quadratic):
         raise ValueError("quaternion arithmetic needs a quadratic descriptor")
-    return ext.d
+    return ext
 
 
 def quaternion_class_equal(alg1: CyclicAlgebraClass, alg2: CyclicAlgebraClass) -> bool:
     """Whether two m = 2 classes over the same Q(sqrt(d)) coincide in Br(Q)."""
-    d = _require_same_quadratic((alg1, alg2))
+    d = _require_same_quadratic((alg1, alg2)).d
     # quaternion classes are 2-torsion: equality iff the product splits
     return quaternion_is_split(d, alg1.b_raw * alg2.b_raw)
 
@@ -410,8 +449,9 @@ def quaternion_group_invariants(algs) -> tuple[int, ...]:
     algs = list(algs)
     if not algs:
         return ()
-    d = _require_same_quadratic(algs)
-    support: set[int] = _odd_prime_support(Fraction(d))
+    ext = _require_same_quadratic(algs)
+    d = ext.d
+    support = set(ext.primes) - {2}
     for alg in algs:
         support |= _odd_prime_support(alg.b_raw)
     places = [INFINITE_PLACE, 2] + sorted(support)

@@ -18,6 +18,8 @@ Rat = Fraction
 
 TRIAL_DIVISION_BOUND = 10**6
 RHO_ITERATION_CAP = 10**6
+# trial division runs this far before rho; the rest of the sweep is a backstop
+_SMALL_PRIME_BOUND = 10**3
 
 # Deterministic Miller-Rabin witness set below ~3.3e24; probabilistic above.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -91,7 +93,7 @@ def _pollard_rho_brent(n: int, cap: int, rng: random.Random) -> int | None:
     return None
 
 
-def _split_with_rho(m: int, cap: int, out: dict[int, int]) -> None:
+def _split_with_rho(m: int, cap: int, out: dict[int, int], n: int) -> None:
     rng = random.Random(m)
     stack = [m]
     while stack:
@@ -104,10 +106,36 @@ def _split_with_rho(m: int, cap: int, out: dict[int, int]) -> None:
         d = _pollard_rho_brent(v, cap, rng)
         if d is None:
             raise FactoringLimitExceeded(
-                f"composite cofactor {v} resisted {cap} rho iterations"
+                f"factoring {n}: composite cofactor {v} resisted {cap} rho iterations"
             )
         stack.append(d)
         stack.append(v // d)
+
+
+def _trial_divide(
+    m: int, d: int, step: int, bound: int, out: dict[int, int]
+) -> tuple[int, int, int]:
+    """Divide the candidates d, d + step, ... (6k +- 1) up to bound out of m.
+
+    Stops once d * d > m, or once the cofactor is 1 or probably prime (a
+    prime cofactor goes into out and 1 is returned).  Returns the cofactor
+    and the next (d, step), so a later call resumes where this one stopped.
+    """
+    while d <= bound and d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out[d] = e
+            if m == 1:
+                break
+            if is_probable_prime(m):
+                out[m] = out.get(m, 0) + 1
+                return 1, d, step
+        d += step
+        step = 6 - step
+    return m, d, step
 
 
 def factor(
@@ -115,10 +143,16 @@ def factor(
 ) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as (sign, {prime: exponent}).
 
-    sign * prod(p**e) == n.  Trial division runs to trial_bound (default
-    10**6), exiting early once the cofactor is 1 or probably prime; a
-    surviving cofactor goes to Pollard rho capped at rho_cap iterations, and
-    a composite survivor raises FactoringLimitExceeded.
+    sign * prod(p**e) == n.  After 2 and 3, trial division runs over the
+    primes up to 10**3 and hands a composite cofactor to Pollard rho,
+    capped at rho_cap iterations (default 10**6) per split.  Only if rho
+    gives up does the full sweep run as a backstop: trial division resumes
+    up to trial_bound (default 10**6), exiting early once the cofactor is 1
+    or probably prime, and a composite survivor the sweep shrank goes to rho
+    once more.  The worst case is two capped rho runs and one sweep.  After
+    a rho failure the result is what the full sweep followed by rho gives:
+    the factorization, or FactoringLimitExceeded naming n and the cofactor
+    that resisted.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
@@ -138,28 +172,25 @@ def factor(
     if is_probable_prime(m):
         out[m] = out.get(m, 0) + 1
         return sign, out
-    d, step = 5, 2
-    while d <= bound and d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out[d] = e
-            if m == 1:
-                break
-            if is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-                m = 1
-                break
-        d += step
-        step = 6 - step
+    m, d, step = _trial_divide(m, 5, 2, min(bound, _SMALL_PRIME_BOUND), out)
+    if m > 1 and d * d <= m and d <= bound:
+        # a composite cofactor with the sweep unfinished: try rho first
+        found = dict(out)
+        try:
+            _split_with_rho(m, cap, found, n)
+        except FactoringLimitExceeded:
+            rest = m
+            m, d, step = _trial_divide(m, d, step, bound, out)
+            if m == rest:
+                raise  # rho would rerun the same seeded search on the same m
+        else:
+            return sign, found
     if m > 1:
         if d * d > m:
             # trial division certified m prime
             out[m] = out.get(m, 0) + 1
         else:
-            _split_with_rho(m, cap, out)
+            _split_with_rho(m, cap, out, n)
     return sign, out
 
 

@@ -1,7 +1,9 @@
 """Field descriptors, local symbols, and cyclic algebra class decisions."""
 
 import random
+import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -54,12 +56,24 @@ def test_kronecker_multiplicative():
         assert kronecker_symbol(a * b, n) == kronecker_symbol(a, n) * kronecker_symbol(b, n)
 
 
+def test_kronecker_matches_sympy_jacobi():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(33)
+    for _ in range(400):
+        n = 2 * rng.randrange(0, 5000) + 1
+        a = rng.randrange(-10**6, 10**6)
+        assert kronecker_symbol(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
 def test_quadratic_descriptor():
     assert Quadratic(-1).degree == 2
     assert Quadratic(-1).literal() == "quad:-1"
     for bad in (0, 1, 12, 9):
         with pytest.raises(ValueError):
             Quadratic(bad)
+    assert Quadratic(-30).primes == (2, 3, 5)
+    assert Quadratic(-1).primes == ()
+    assert "primes" not in repr(Quadratic(-30))
 
 
 @pytest.mark.parametrize(
@@ -92,6 +106,53 @@ def test_cyclotomic_validation():
         Cyclotomic(16, (1,))  # quotient (Z/16)* is not cyclic
     with pytest.raises(ValueError):
         Cyclotomic(11, (2, 10))  # not closed under multiplication
+
+
+def _closed_by_all_pairs(n, residues):
+    members = set(residues)
+    return all(a * b % n in members for a in members for b in members)
+
+
+def _span(n, gens):
+    span = {1}
+    while True:
+        grown = span | {a * g % n for a in span for g in gens}
+        if grown == span:
+            return span
+        span = grown
+
+
+def test_closure_check_matches_all_pairs():
+    rng = random.Random(34)
+    closed = 0
+    for _ in range(200):
+        n = rng.randrange(3, 41)
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        kind = rng.randrange(3)
+        if kind == 2:
+            residues = {1} | set(rng.sample(units, rng.randrange(len(units) + 1)))
+        else:
+            residues = _span(n, rng.sample(units, 2))
+            if kind == 1:
+                residues ^= {rng.choice(units[1:])}
+                residues.add(1)
+        try:
+            Cyclotomic(n, tuple(residues))
+            rejected = False
+        except ValueError as exc:
+            rejected = str(exc) == "residue list is not closed under multiplication"
+        assert rejected is not _closed_by_all_pairs(n, residues), (n, sorted(residues))
+        closed += not rejected
+    assert 40 < closed < 160
+
+
+def test_descriptor_validation_is_bounded():
+    start = time.perf_counter()
+    assert Cyclotomic.from_generators(10007, (25,)).degree == 2
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert Quadratic(100003).as_cyclotomic().degree == 2
+    assert time.perf_counter() - start < 5
 
 
 def test_residue_degree():
@@ -188,6 +249,37 @@ def test_class_status_quadratic_is_decisive():
     st = class_status(nonsplit)
     assert st.kind == "nontrivial"
     assert st.witness == 2
+
+
+def test_class_status_quadratic_sweeps_once(monkeypatch):
+    import relbrauer.brauer as brauer_mod
+
+    rng = random.Random(35)
+    real_factor = brauer_mod.factor
+    factored = []
+
+    def recording_factor(n, **kwargs):
+        factored.append(abs(n))
+        return real_factor(n, **kwargs)
+
+    cases = 0
+    while cases < 60:
+        d = rng.randrange(-300, 300)
+        if d in (0, 1) or any(d % (k * k) == 0 for k in range(2, 18)):
+            continue
+        b = F(rng.randrange(1, 500) * rng.choice((1, -1)), rng.randrange(1, 40))
+        alg = CyclicAlgebraClass(2, Quadratic(d), b, b)
+        if quaternion_is_split(d, b):
+            expected = ClassStatus.trivial()
+        else:
+            expected = ClassStatus.nontrivial(quaternion_witness(d, b))
+        factored.clear()
+        monkeypatch.setattr(brauer_mod, "factor", recording_factor)
+        status = class_status(alg)
+        monkeypatch.setattr(brauer_mod, "factor", real_factor)
+        assert status == expected, (d, b)
+        assert abs(d) not in factored or abs(d) in (b.numerator, b.denominator)
+        cases += 1
 
 
 def test_class_status_unit_is_trivial():

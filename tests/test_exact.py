@@ -69,6 +69,52 @@ def test_factor_limit_exceeded():
         factor(M61 * M61, trial_bound=10, rho_cap=50)
 
 
+def test_factor_backstop_sweep_runs_when_rho_gives_up():
+    # 1009 lies above the small-prime stage and one rho iteration cannot
+    # split the product, so only the fallback trial division finds it
+    assert factor(1009 * 1000003, rho_cap=1) == (1, {1009: 1, 1000003: 1})
+
+
+def test_factor_does_not_rerun_rho_on_an_unchanged_cofactor(monkeypatch):
+    import relbrauer.exact as exact
+
+    calls = []
+    real = exact._split_with_rho
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(exact, "_split_with_rho", counting)
+    with pytest.raises(FactoringLimitExceeded):
+        factor(M61 * M61, trial_bound=2000, rho_cap=50)
+    assert calls == [M61 * M61]
+
+
+def test_factor_limit_names_the_input():
+    n = 7 * M61 * M61
+    with pytest.raises(FactoringLimitExceeded) as excinfo:
+        factor(n, trial_bound=10, rho_cap=50)
+    assert str(n) in str(excinfo.value)
+    assert str(M61 * M61) in str(excinfo.value)
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1801)
+    cases = [rng.randrange(1, 10**18) for _ in range(120)]
+    for _ in range(60):
+        p, q = (sympy.nextprime(rng.randrange(10**3, 10**7)) for _ in range(2))
+        cases.append(p * q * rng.choice((1, 2, 3, 35, 1009)))
+    for _ in range(20):
+        p = sympy.nextprime(rng.randrange(10**5, 2 * 10**6))
+        cases.append(p * p * rng.choice((1, 7, 1013)))
+    for n in cases:
+        n *= rng.choice((1, -1))
+        expected = {int(p): e for p, e in sympy.factorint(abs(n)).items()}
+        assert factor(n) == (-1 if n < 0 else 1, expected), n
+
+
 def test_divisors():
     assert divisors(factor(12)[1]) == [1, 2, 3, 4, 6, 12]
     assert divisors({}) == [1]
