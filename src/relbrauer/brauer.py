@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .curve import CurvePoint
-from .exact import factor, is_probable_prime, mth_power_free_part
+from .exact import factor, is_mth_power, is_probable_prime
 
 INFINITE_PLACE = "infinity"
 
@@ -335,7 +335,7 @@ class CyclicAlgebraClass:
             raise ValueError("the algebra scalar must be nonzero")
         if self.m != self.ext.degree:
             raise ValueError(f"m = {self.m} does not match extension degree {self.ext.degree}")
-        if mth_power_free_part(self.b_raw / self.b_normalized, self.m) != 1:
+        if not is_mth_power(self.b_raw / self.b_normalized, self.m):
             raise ValueError("b_raw / b_normalized is not an m-th power")
 
 

@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .brauer import Cyclotomic, Quadratic, class_status
 from .cocycle import NonConstantCocycleValue, RationalCocycle, brauer_pairing, relative_brauer
@@ -309,7 +310,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    # one parser per process: parse_args leaves it unchanged
     parser = _Parser(prog="relbrauer", description="relative Brauer groups of genus-1 curves")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,14 +5,17 @@ desk-scale integer factoring, and m-th-power-free normalization of rationals.
 
 Rationals are stdlib fractions.Fraction throughout the package; Fraction
 already enforces the canonical form (reduced, positive denominator, a unique
-zero), so no wrapper type is introduced.
+zero), so no wrapper type is introduced.  Poly takes and returns Fractions
+but computes fraction-free: integer numerators over one common denominator,
+with division by pseudo-division over Z (Knuth, TAOCP vol. 2, 4.6.1), so
+its inner loops make no Fraction.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -230,104 +233,162 @@ def mth_power_free_part(r: Rat, m: int) -> Rat:
     return Fraction(s)
 
 
-def _as_fraction_tuple(coeffs) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _is_integer_mth_power(n: int, m: int) -> bool:
+    """Whether n >= 0 is the m-th power of an integer (Newton from above)."""
+    if n < 2:
+        return True
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x**m == n
+        x = y
+
+
+def is_mth_power(r: Rat, m: int) -> bool:
+    """Whether the nonzero rational r is the m-th power of a rational.
+
+    The same answer as mth_power_free_part(r, m) == 1, without factoring:
+    |numerator| and denominator must be integer m-th powers, and for even
+    m, r must be positive.
+    """
+    r = Fraction(r)
+    if r == 0:
+        raise ValueError("0 has no m-th-power-free part")
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if m % 2 == 0 and r < 0:
+        return False
+    num, den = abs(r.numerator), r.denominator
+    return _is_integer_mth_power(num, m) and _is_integer_mth_power(den, m)
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction, coefficients lowest first.
+    """Dense univariate polynomial over Q, coefficients lowest first.
 
-    Trailing zeros are stripped on construction, so representations are
-    unique; the zero polynomial has an empty coefficient tuple and degree -1.
+    Stored fraction-free: a list of integer numerators `_num` with no
+    trailing zero, over one positive common denominator `_den` with
+    gcd(_den, content of _num) = 1.  Each polynomial has exactly one
+    representation; the zero polynomial is ([], 1) and has degree -1.
+    `coeffs` gives the coefficients as a tuple of Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        # den is the lcm of reduced denominators, so it is already coprime
+        # to the content of num
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        d = self._den
+        return tuple(Fraction(c, d) for c in self._num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def lc(self) -> Fraction:
-        if self.is_zero:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        num = self._num
+        if not num or num[-1] == self._den:  # zero, or lc == 1
             return self
-        c = self.lc
-        if c == 1:
-            return self
-        return Poly(v / c for v in self.coeffs)
+        g = gcd(*num)
+        if num[-1] < 0:
+            g = -g
+        return _raw([c // g for c in num], num[-1] // g)
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        num = self._num
+        if not num:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = num[-1]
+        qk = 1
+        for c in reversed(num[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self._den * qk)
 
     @staticmethod
     def _coerce(other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly((other,))
+            return _normalized([other.numerator], other.denominator)
         return None
+
+    def _plus(self, other, sign: int) -> "Poly":
+        an, ad, bn, bd = self._num, self._den, other._num, other._den
+        if ad != bd:
+            g = gcd(ad, bd)
+            ma, mb = bd // g, ad // g
+            ad *= ma
+            an = [c * ma for c in an]
+            bn = [c * mb for c in bn]
+        if sign < 0:
+            bn = [-c for c in bn]
+        if len(an) < len(bn):
+            an, bn = bn, an
+        out = list(an)
+        for i, c in enumerate(bn):
+            out[i] += c
+        return _normalized(out, ad)
 
     def __add__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return _raw([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
+            p = other.numerator
+            return _normalized([c * p for c in self._num], self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _raw([], 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _normalized(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -344,24 +405,54 @@ class Poly:
         return result
 
     def __divmod__(self, other):
+        """(quotient, remainder) by pseudo-division over Z.
+
+        With self = A/da and other = B/db, each step scales the running
+        remainder (and the quotient found so far) by just enough,
+        |lead(B)| / gcd(lead(B), c), to make the next quotient coefficient
+        an integer; the product s of those scales gives
+        s*A = Q*B + R, whence the rational quotient Q*db/(s*da) and
+        remainder R/(s*da).
+        """
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        b = other._num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.lc
-        if self.degree < dq:
-            return Poly(), self
-        quot = [Fraction(0)] * (self.degree - dq + 1)
-        for k in range(self.degree - dq, -1, -1):
-            c = rem[k + dq] / lead
-            if c:
-                quot[k] = c
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
-        return Poly(quot), Poly(rem)
+        dq = len(b) - 1
+        if len(self._num) <= dq:
+            return _raw([], 1), self
+        rem = list(self._num)
+        lead = b[-1]
+        alead = abs(lead)
+        lower = b[:-1]
+        quot = [0] * (len(rem) - dq)
+        scale = 1
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + dq]
+            if not c:
+                continue
+            g = gcd(alead, c)
+            f = alead // g
+            if f != 1:
+                scale *= f
+                for i in range(k + dq):
+                    rem[i] *= f
+                for i in range(k + 1, len(quot)):
+                    quot[i] *= f
+            c //= g
+            if lead < 0:
+                c = -c
+            quot[k] = c
+            for i, y in enumerate(lower, k):
+                rem[i] -= c * y
+        den = scale * self._den
+        db = other._den
+        if db != 1:
+            quot = [c * db for c in quot]
+        del rem[dq:]
+        return _normalized(quot, den), _normalized(rem, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -373,13 +464,13 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._num)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -387,9 +478,10 @@ class Poly:
     def __str__(self):
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = coeffs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -402,6 +494,32 @@ class Poly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+_set_num = Poly._num.__set__
+_set_den = Poly._den.__set__
+
+
+def _raw(num: list, den: int) -> Poly:
+    """A Poly that takes ownership of `num`, which must already be in
+    canonical form with `den`."""
+    p = object.__new__(Poly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _normalized(num: list, den: int) -> Poly:
+    """A Poly that takes ownership of `num` over den > 0: trailing zeros
+    are stripped and gcd(den, content) divided out."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _raw(num, den)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -245,3 +245,37 @@ def test_render_text_round_trip(order5_curve):
     job = JobSpec(command="torsion", curve=order5_curve)
     text = render_text(run(job))
     assert "torsion: Z/5 (order 5)" in text
+
+
+PAIRING_ARGV = [
+    "pairing", "--curve", "0,-1,1,-10,-20", "--t", "5,5", "--m", "5", "--p", "5,5",
+    "--ext", "cyclo:11:10",
+]
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # a parser built per call leaves its formatters and actions to the
+    # cycle collector.  Text output: json.dumps with indent builds
+    # self-referencing closures of its own.
+    import gc
+
+    assert main(PAIRING_ARGV) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(PAIRING_ARGV) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_parser_reused_after_a_bad_call_gives_fresh_output(capsys):
+    from relbrauer.cli import _build_parser
+
+    _build_parser.cache_clear()
+    assert main(PAIRING_ARGV) == 0
+    fresh = capsys.readouterr().out
+    assert main(["pairing", "--curve", "0,-1,1,-10,-20", "--m", "five"]) == 1
+    capsys.readouterr()
+    assert main(PAIRING_ARGV) == 0
+    assert capsys.readouterr().out == fresh

@@ -282,6 +282,28 @@ def test_pairing_scalar_equals_reduced_table(coeffs):
             assert pairing_scalar(coc, p) == cyclic_reduce(two_cocycle(coc, p))
 
 
+@pytest.mark.parametrize(
+    "coeffs,t,step",
+    [
+        ((1, -1, 1, -3, 3), (-1, 2), 1),  # 26b1, Z/7
+        ((1, -1, 1, -14, 29), (-3, 7), 1),  # 54b3, Z/9
+        ((1, -1, 1, -14, 29), (1, 3), 1),  # 54b3, t of order 3
+        ((1, -1, 1, -122, 1721), (-9, 49), 2),  # 90c3, Z/12, t of order 12
+        ((1, -1, 1, -122, 1721), (21, 79), 3),  # 90c3, t of order 6
+    ],
+    ids=["26b1", "54b3", "54b3-order3", "90c3", "90c3-order6"],
+)
+def test_pairing_scalar_equals_reduced_table_higher_order(coeffs, t, step):
+    # a fixed subset: t against every step-th torsion point, in sorted order
+    from relbrauer import torsion_subgroup
+
+    curve = WeierstrassCurve(*coeffs)
+    t = CurvePoint(F(t[0]), F(t[1]))
+    coc = RationalCocycle(curve, curve.point_order(t), t)
+    for p in torsion_subgroup(curve).elements[::step]:
+        assert pairing_scalar(coc, p) == cyclic_reduce(two_cocycle(coc, p))
+
+
 def test_pairing_scalar_when_t_order_is_below_m(order5_curve, order5_gen):
     for coc, p in [
         (RationalCocycle(order5_curve, 3, INFINITY), order5_gen),

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from relbrauer.exact import (
     Poly,
     divisors,
     factor,
+    is_mth_power,
     is_probable_prime,
     mth_power_free_part,
     poly_gcd,
@@ -146,6 +148,25 @@ def test_mth_power_free_part_contract():
         mth_power_free_part(F(0), 2)
 
 
+def test_is_mth_power_matches_power_free_part():
+    rng = random.Random(4111)
+    for m in range(2, 13):
+        cases = [F(2**m * 3), F(1, 2**m * 3), F(3**m + 1), F(5**m, 7**m), F(2**m)]
+        for _ in range(40):
+            root = F(rng.randrange(1, 60), rng.randrange(1, 60))
+            near = rng.choice((1, 1, 2, 3, F(1, 2), F(4, 9), F(2**m * 3)))
+            cases.append(root**m * near)
+            cases.append(F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)))
+        for r in cases:
+            for signed in (r, -r):
+                expected = mth_power_free_part(signed, m) == 1
+                assert is_mth_power(signed, m) is expected, (signed, m)
+    assert is_mth_power(F(-27, 8), 3) and not is_mth_power(F(-16), 4)
+    assert is_mth_power(F(-7), 1)
+    with pytest.raises(ValueError):
+        is_mth_power(F(0), 2)
+
+
 def test_poly_construction_and_degree():
     assert Poly().is_zero
     assert Poly((0, 0)).is_zero
@@ -195,3 +216,148 @@ def test_poly_gcd_random_divides(monkeypatch):
             assert a.is_zero and b.is_zero
             continue
         assert (a % g).is_zero and (b % g).is_zero
+
+
+# -- Fraction-list reference for Poly -------------------------------------
+
+
+def _ref(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_divmod(a, b):
+    rem, dq = list(a), len(b) - 1
+    if len(a) - 1 < dq:
+        return (), a
+    quot = [F(0)] * (len(a) - dq)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + dq] / b[-1]
+        quot[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] -= c * y
+    return _ref(quot), _ref(rem)
+
+
+def _ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_monic(_ref_divmod(a, b)[1])
+    return _ref_monic(a)
+
+
+def _ref_call(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(abs(c))
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            body = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _check(p, ref):
+    num, den = p._num, p._den
+    assert type(num) is list and type(den) is int and den > 0
+    assert not num or num[-1] != 0
+    assert gcd(den, *num) == 1
+    assert p.coeffs == ref
+    assert p == Poly(ref) and hash(p) == hash(ref)
+    assert str(p) == _ref_str(ref) and repr(p) == f"Poly({list(ref)!r})"
+
+
+def _random_coeffs(rng):
+    big = rng.choice((1, 1, 7, 2**64 + 13, 10**30 + 57))
+    coeffs = []
+    for _ in range(rng.randrange(0, 7)):
+        kind = rng.random()
+        if kind < 0.2:
+            coeffs.append(0)
+        elif kind < 0.5:
+            coeffs.append(rng.randrange(-40, 41))
+        else:
+            coeffs.append(F(rng.randrange(-40, 41), rng.randrange(1, 30) * big))
+    return coeffs
+
+
+def test_poly_matches_fraction_reference():
+    rng = random.Random(31337)
+    raw = [[], [0, 0], [5], [F(-3, 4)], [0, F(1, 10**40 + 3)], [F(2, 3), 0, -4]]
+    raw += [_random_coeffs(rng) for _ in range(300)]
+    assert Poly()._num == [] and Poly()._den == 1
+    for i, cs in enumerate(raw):
+        a, ra = Poly(cs), _ref(cs)
+        b_cs = raw[(7 * i + 3) % len(raw)]
+        b, rb = Poly(b_cs), _ref(b_cs)
+        _check(a, ra)
+        _check(a + b, _ref_add(ra, rb))
+        _check(a - b, _ref_add(ra, _ref_neg(rb)))
+        _check(-a, _ref_neg(ra))
+        _check(a * b, _ref_mul(ra, rb))
+        scalar = F(rng.randrange(-9, 10), rng.randrange(1, 9))
+        _check(a * scalar, _ref_mul(ra, _ref([scalar])))
+        _check(3 - a, _ref_add(_ref([3]), _ref_neg(ra)))
+        power = (F(1),)
+        for _ in range(i % 4):
+            power = _ref_mul(power, ra)
+        _check(a ** (i % 4), power)
+        _check(a.monic(), _ref_monic(ra))
+        x = F(rng.randrange(-20, 21), rng.randrange(1, 12))
+        assert a(x) == _ref_call(ra, x) and type(a(x)) is F
+        assert a(-2) == _ref_call(ra, F(-2)) and type(a(-2)) is F
+        assert a.degree == len(ra) - 1
+        if ra:
+            assert a.lc == ra[-1]
+        if rb:
+            rq, rr = _ref_divmod(ra, rb)
+            q, r = divmod(a, b)
+            _check(q, rq)
+            _check(r, rr)
+            _check(a // b, rq)
+            _check(a % b, rr)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                divmod(a, b)
+        _check(poly_gcd(a, b), _ref_gcd(ra, rb))
+        assert (a == b) is (ra == rb)
