@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .curve import CurvePoint
-from .exact import factor, is_mth_power, is_probable_prime
+from .exact import factor, is_mth_power, is_probable_prime, rational_exponents
 
 INFINITE_PLACE = "infinity"
 
@@ -281,12 +281,7 @@ def hilbert_symbol(a, b, place) -> int:
 
 
 def _odd_prime_support(r: Fraction) -> set[int]:
-    primes: set[int] = set()
-    for part in (r.numerator, r.denominator):
-        _, exps = factor(part)
-        primes.update(exps)
-    primes.discard(2)
-    return primes
+    return set(rational_exponents(r)) - {2}
 
 
 def _least_failing_prime(a: Fraction, b: Fraction, odd_primes: set[int]) -> int | None:
@@ -321,12 +316,17 @@ class CyclicAlgebraClass:
     b_raw is the scalar produced by the reduction pipeline; b_normalized is
     its m-th-power-free representative, the invariant of the class under
     rescaling of the underlying functions.
+
+    primes holds the primes dividing b_raw, ascending; the status sweeps
+    reuse them.  A caller that has factored b_raw passes them, and they are
+    checked by division; otherwise b_raw is factored here.
     """
 
     m: int
     ext: Quadratic | Cyclotomic
     b_raw: Fraction
     b_normalized: Fraction
+    primes: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b_raw", Fraction(self.b_raw))
@@ -337,6 +337,19 @@ class CyclicAlgebraClass:
             raise ValueError(f"m = {self.m} does not match extension degree {self.ext.degree}")
         if not is_mth_power(self.b_raw / self.b_normalized, self.m):
             raise ValueError("b_raw / b_normalized is not an m-th power")
+        if self.primes is None:
+            primes = tuple(sorted(rational_exponents(self.b_raw)))
+        else:
+            primes = tuple(sorted(set(self.primes)))
+            rest = abs(self.b_raw.numerator) * self.b_raw.denominator
+            for p in primes:
+                if p < 2:
+                    raise ValueError(f"{p} is not a prime")
+                while rest % p == 0:
+                    rest //= p
+            if rest != 1:
+                raise ValueError("primes do not cover the numerator and denominator of b_raw")
+        object.__setattr__(self, "primes", primes)
 
 
 TRIVIAL = "trivial"
@@ -390,7 +403,7 @@ def unramified_obstruction(alg: CyclicAlgebraClass) -> int | None:
     ext = alg.ext
     cyc = ext.as_cyclotomic() if isinstance(ext, Quadratic) else ext
     n = cyc.conductor
-    for p in sorted(_odd_prime_support(alg.b_raw) | {2}):
+    for p in sorted(set(alg.primes) | {2}):
         if n % p == 0:
             continue
         v, _, _ = _valuation_and_unit(alg.b_raw, p)
@@ -411,7 +424,7 @@ def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
     if isinstance(alg.ext, Quadratic):
         # reciprocity: a real-place failure forces a finite one, so the
         # class splits iff no finite prime fails
-        odd_primes = (set(alg.ext.primes) | _odd_prime_support(alg.b_raw)) - {2}
+        odd_primes = set(alg.ext.primes + alg.primes) - {2}
         witness = _least_failing_prime(Fraction(alg.ext.d), alg.b_raw, odd_primes)
         if witness is None:
             return ClassStatus.trivial()
@@ -451,9 +464,7 @@ def quaternion_group_invariants(algs) -> tuple[int, ...]:
         return ()
     ext = _require_same_quadratic(algs)
     d = ext.d
-    support = set(ext.primes) - {2}
-    for alg in algs:
-        support |= _odd_prime_support(alg.b_raw)
+    support = set(ext.primes).union(*(alg.primes for alg in algs)) - {2}
     places = [INFINITE_PLACE, 2] + sorted(support)
     pivots: dict[int, int] = {}
     for alg in algs:

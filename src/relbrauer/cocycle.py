@@ -9,8 +9,9 @@ homogeneous space.
 
 The pairing computes b directly as the norm of one function,
 b = prod_{k=0}^{m-1} (translate of f_1 by [k]t), which is what the
-2-cocycle table reduces to; two_cocycle and cyclic_reduce build and reduce
-the full table and remain as the reference.
+2-cocycle table reduces to.  It builds the product along the binary digits
+of m, in floor(log2 m) + popcount(m) - 1 translates; two_cocycle and
+cyclic_reduce build and reduce the full table and remain as the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .brauer import (
     quaternion_group_invariants,
 )
 from .curve import INFINITY, CurvePoint, WeierstrassCurve
-from .exact import Poly, mth_power_free_part
+from .exact import Poly, mth_power_free_part, rational_exponents
 from .funcfield import EllFn, FormalDivisor
 
 
@@ -225,20 +226,35 @@ def cyclic_reduce(tc: TwoCocycle) -> Fraction:
 
 def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
     """The scalar b of (cocycle, p), as the norm of f_1 = cocycle_function
-    at shift t: b = prod_{k=0}^{m-1} (translate of f_1 by [k]t).
+    at shift t: b = N_m, where N_j = prod_{k<j} (translate of f_1 by [k]t).
 
     In cyclic_reduce(two_cocycle(cocycle, p)) = prod_{i=1}^{m-1} c(i, 1),
     with c(i, 1) = f_i * (translate of f_1 by [i]t) / f_{i+1}, the f_i
-    telescope away because f_m = f_0 = 1, so both give the same b; this
-    takes m - 1 translates instead of the table's m^2.
+    telescope away because f_m = f_0 = 1, so both give the same b.
+
+    N_m is built along the binary digits of m, as Miller's algorithm builds
+    its products of translated line functions:
+    N_2j = N_j * (translate of N_j by [j]t) and
+    N_{j+1} = N_j * (translate of f_1 by [j]t).  Translations commute, so
+    this is the same function; it takes floor(log2 m) + popcount(m) - 1
+    translates where the table takes m^2.  The divisor of N_j is
+    ([j]t + p) + O - [j]t - p, so N_j stays as small as f_1.
     """
     curve = cocycle.curve
     curve._require(p)
-    f1 = cocycle_function(curve, cocycle.t, p)
-    norm, shift = f1, INFINITY
-    for _ in range(cocycle.m - 1):
-        shift = curve.add(shift, cocycle.t)
-        norm = norm * f1.translate(shift)
+    t = cocycle.t
+    f1 = cocycle_function(curve, t, p)
+    digits = bin(cocycle.m)[3:]  # after the leading 1, which gives N_1 = f_1
+    norm, shift = f1, t  # N_j and [j]t
+    for k, digit in enumerate(digits):
+        more = k + 1 < len(digits)
+        norm = norm * norm.translate(shift)
+        if digit == "1" or more:
+            shift = curve.add(shift, shift)
+        if digit == "1":
+            norm = norm * f1.translate(shift)
+            if more:
+                shift = curve.add(shift, t)
     b = norm.is_constant()
     if b is None:
         raise NonConstantCocycleValue("the norm of the pairing function is not a constant")
@@ -250,13 +266,17 @@ def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebr
 
     ext must be a degree-m extension descriptor; the class scalar b comes
     from pairing_scalar and is reported raw and in m-th-power-free form.
+    b is factored once, for both the normal form and the class's primes.
     """
     if ext.degree != cocycle.m:
         raise ValueError(
             f"extension degree {ext.degree} does not match cocycle order {cocycle.m}"
         )
     b = pairing_scalar(cocycle, p)
-    return CyclicAlgebraClass(cocycle.m, ext, b, mth_power_free_part(b, cocycle.m))
+    exps = rational_exponents(b)
+    return CyclicAlgebraClass(
+        cocycle.m, ext, b, mth_power_free_part(b, cocycle.m, exps), tuple(exps)
+    )
 
 
 def relative_brauer(cocycle: RationalCocycle, generators, ext) -> BrauerPresentation:

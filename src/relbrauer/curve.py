@@ -7,8 +7,9 @@ variables down to a short integral model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .exact import factor
 
@@ -54,15 +55,27 @@ INFINITY = CurvePoint()
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
+    """A Weierstrass model over Q.
+
+    _scaled holds (L, L*a1, L*a2, L*a3, L*a4, L*a6) as integers, with L the
+    least common denominator of the coefficients, for is_on_curve.
+    """
+
     a1: Fraction
     a2: Fraction
     a3: Fraction
     a4: Fraction
     a6: Fraction
+    _scaled: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        coeffs = (self.a1, self.a2, self.a3, self.a4, self.a6)
+        scale = lcm(*(a.denominator for a in coeffs))
+        object.__setattr__(
+            self, "_scaled", (scale, *(a.numerator * (scale // a.denominator) for a in coeffs))
+        )
         if self.discriminant() == 0:
             raise SingularCurve(f"discriminant vanishes for {self.equation()}")
 
@@ -95,11 +108,19 @@ class WeierstrassCurve:
         return f"{lhs} = {rhs}"
 
     def is_on_curve(self, p: CurvePoint) -> bool:
+        """Whether p satisfies the curve equation.
+
+        With x = X/dx, y = Y/dy and the coefficients scaled to integers,
+        the equation times dx^3 dy^2 is an identity between integers.
+        """
         if p.is_infinity:
             return True
         x, y = p.x, p.y
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x**3 + self.a2 * x * x + self.a4 * x + self.a6
+        X, dx, Y, dy = x.numerator, x.denominator, y.numerator, y.denominator
+        scale, a1, a2, a3, a4, a6 = self._scaled
+        dx2 = dx * dx
+        lhs = scale * Y * Y * dx2 * dx + Y * dy * dx2 * (a1 * X + a3 * dx)
+        rhs = dy * dy * (scale * X * X * X + dx * (a2 * X * X + dx * (a4 * X + a6 * dx)))
         return lhs == rhs
 
     def _require(self, p: CurvePoint) -> None:

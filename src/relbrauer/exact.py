@@ -205,28 +205,42 @@ def divisors(factorization: dict[int, int]) -> list[int]:
     return sorted(divs)
 
 
-def mth_power_free_part(r: Rat, m: int) -> Rat:
+def rational_exponents(r: Rat) -> dict[int, int]:
+    """{p: v_p(r)} over the primes dividing a nonzero rational r.
+
+    Factors |numerator| and denominator once each, and neither when it is 1.
+    """
+    r = Fraction(r)
+    if r == 0:
+        raise ValueError("0 has no factorization")
+    exps: dict[int, int] = {}
+    num = abs(r.numerator)
+    if num != 1:
+        exps.update(factor(num)[1])
+    if r.denominator != 1:
+        for p, e in factor(r.denominator)[1].items():
+            exps[p] = -e
+    return exps
+
+
+def mth_power_free_part(r: Rat, m: int, exponents: dict[int, int] | None = None) -> Rat:
     """Strip m-th powers from a nonzero rational.
 
     The result s has every prime exponent in [0, m) and r/s is an exact
     rational m-th power.  For even m, s keeps the sign of r; for odd m the
-    sign moves into the m-th power and s is positive.
+    sign moves into the m-th power and s is positive.  A caller that
+    already holds rational_exponents(r) passes it as exponents, and r is
+    not factored again.
     """
     r = Fraction(r)
     if r == 0:
         raise ValueError("0 has no m-th-power-free part")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    exps: dict[int, int] = {}
-    num = abs(r.numerator)
-    if num != 1:
-        for p, e in factor(num)[1].items():
-            exps[p] = e
-    if r.denominator != 1:
-        for p, e in factor(r.denominator)[1].items():
-            exps[p] = exps.get(p, 0) - e
+    if exponents is None:
+        exponents = rational_exponents(r)
     s = 1
-    for p, e in exps.items():
+    for p, e in exponents.items():
         s *= p ** (e % m)
     if m % 2 == 0 and r < 0:
         s = -s

@@ -228,6 +228,13 @@ def test_cyclic_algebra_class_validation():
         CyclicAlgebraClass(2, ext, F(2), F(3))  # 2/3 is not a square
     alg = CyclicAlgebraClass(2, ext, F(12), F(3))
     assert alg.b_normalized == 3
+    assert alg.primes == (2, 3)
+    assert alg == CyclicAlgebraClass(2, ext, F(12), F(3), (3, 2))
+    assert CyclicAlgebraClass(2, ext, F(-1, 4), F(-1)).primes == (2,)
+    with pytest.raises(ValueError):
+        CyclicAlgebraClass(2, ext, F(12), F(3), (3,))  # 2 divides b_raw
+    with pytest.raises(ValueError):
+        CyclicAlgebraClass(2, ext, F(12), F(3), (1, 2, 3))
 
 
 def test_class_status_constructors():

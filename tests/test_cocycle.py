@@ -313,11 +313,38 @@ def test_pairing_scalar_when_t_order_is_below_m(order5_curve, order5_gen):
         assert pairing_scalar(coc, p) == cyclic_reduce(two_cocycle(coc, p))
 
 
-def test_pairing_takes_m_minus_1_translates_and_no_table(monkeypatch, order5_curve, order5_gen):
+# (curve, t, m, p, translates): floor(log2 m) + popcount(m) - 1 translates
+_E1, _90C3 = (0, -1, 1, -10, -20), (1, -1, 1, -122, 1721)
+_CHAIN_CASES = [
+    (_E1, None, 1, (5, 5), 0),
+    (_90C3, (-15, 7), 2, (-9, 49), 1),  # order 2
+    (_90C3, (1, 39), 3, (21, 79), 2),  # order 3
+    (_90C3, (9, 31), 4, (-9, 49), 2),  # order 4
+    (_E1, (5, 5), 5, (5, 5), 3),
+    (_90C3, (21, 79), 6, (-9, 49), 3),  # order 6
+    (_90C3, (9, 31), 8, (21, 79), 3),  # order 4, below m
+    (_E1, (5, 5), 10, (16, 60), 4),  # order 5, below m
+    (_90C3, (-9, 49), 12, (21, 79), 4),  # order 12
+    (_90C3, (21, 79), 12, (9, 31), 4),  # order 6, below m
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs,t,m,p,translates",
+    _CHAIN_CASES,
+    ids=["m1-O", "m2", "m3", "m4", "m5", "m6", "m8-order4", "m10-order5", "m12", "m12-order6"],
+)
+def test_pairing_takes_chain_translates_and_no_table(monkeypatch, coeffs, t, m, p, translates):
     import relbrauer.cocycle as cocycle_mod
 
-    calls = {"translate": 0, "function": 0}
-    translate, function = EllFn.translate, cocycle_mod.cocycle_function
+    curve = WeierstrassCurve(*coeffs)
+    t = INFINITY if t is None else CurvePoint(F(t[0]), F(t[1]))
+    p = CurvePoint(F(p[0]), F(p[1]))
+    coc = RationalCocycle(curve, m, t)
+    expected = cyclic_reduce(two_cocycle(coc, p))
+    calls = {"translate": 0, "function": 0, "add": 0}
+    translate, function, add = EllFn.translate, cocycle_mod.cocycle_function, WeierstrassCurve.add
+    in_function = []
 
     def counted_translate(self, q):
         calls["translate"] += 1
@@ -325,15 +352,62 @@ def test_pairing_takes_m_minus_1_translates_and_no_table(monkeypatch, order5_cur
 
     def counted_function(*args):
         calls["function"] += 1
-        return function(*args)
+        in_function.append(True)
+        try:
+            return function(*args)
+        finally:
+            in_function.pop()
+
+    def counted_add(self, *args):
+        if not in_function:
+            calls["add"] += 1
+        return add(self, *args)
 
     def no_table(*args, **kwargs):
         raise AssertionError("the pairing must not build the 2-cocycle table")
 
     monkeypatch.setattr(EllFn, "translate", counted_translate)
+    monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
     monkeypatch.setattr(cocycle_mod, "cocycle_function", counted_function)
     monkeypatch.setattr(cocycle_mod, "two_cocycle", no_table)
-    coc = RationalCocycle(order5_curve, 5, order5_gen)
-    alg = brauer_pairing(coc, order5_gen, Cyclotomic.from_generators(11, (10,)))
-    assert alg.b_raw == F(-1, 11)
-    assert calls == {"translate": 4, "function": 1}
+    assert pairing_scalar(coc, p) == expected
+    # each shift the chain computes is used by the next translate
+    assert calls == {"translate": translates, "function": 1, "add": max(translates - 1, 0)}
+
+
+@pytest.mark.parametrize(
+    "coeffs,t,m,gens,ext",
+    [
+        ((0, -1, 1, -10, -20), (5, 5), 5, [(5, 5), (16, 60)], "cyclo:11:10"),
+        ((0, 0, 0, -386240409, 0), (0, 0), 2, [(19653, 0), (-19653, 0)], "quad:2027600613242"),
+        ((0, 0, 0, -87647044, 0), (0, 0), 2, [(-9362, 0)], "cyclo:3019:4"),
+        ((0, 0, 0, -(1000162000477**2), 0), (0, 0), 2, [(1000162000477, 0)], "quad:-2"),
+    ],
+    ids=["m5-cyclo", "m2-quad-relbr", "m2-cyclo", "m2-quad-large"],
+)
+def test_pairing_and_status_factor_b_once(monkeypatch, coeffs, t, m, gens, ext):
+    # per pairing: |numerator(b)| and denominator(b) at most once each, never 1
+    import relbrauer.brauer as brauer_mod
+    import relbrauer.exact as exact_mod
+    from relbrauer.cli import parse_extension
+
+    curve = WeierstrassCurve(*coeffs)
+    coc = RationalCocycle(curve, m, CurvePoint(F(t[0]), F(t[1])))
+    ext = parse_extension(ext)
+    calls = []
+    factor = exact_mod.factor
+
+    def counted_factor(n, **kwargs):
+        calls.append(n)
+        return factor(n, **kwargs)
+
+    monkeypatch.setattr(exact_mod, "factor", counted_factor)
+    monkeypatch.setattr(brauer_mod, "factor", counted_factor)
+    points = [(CurvePoint(F(x), F(y)), None) for x, y in gens]
+    presentation = relative_brauer(coc, points, ext)
+    expected = []
+    for entry in presentation.entries:
+        b = entry.algebra.b_raw
+        expected += [n for n in (abs(b.numerator), b.denominator) if n != 1]
+    assert sorted(calls) == sorted(expected)
+    assert (presentation.group_invariants is not None) == isinstance(ext, Quadratic)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from relbrauer import (
     SingularCurve,
     WeierstrassCurve,
     to_short_integral,
+    torsion_subgroup,
 )
 
 
@@ -38,6 +40,33 @@ def test_membership(order5_curve):
     assert not order5_curve.is_on_curve(CurvePoint(F(5), F(6)))
     with pytest.raises(PointNotOnCurve):
         order5_curve.add(CurvePoint(F(5), F(6)), INFINITY)
+
+
+def test_is_on_curve_matches_fraction_formula(order5_curve, mixed_torsion_curve):
+    # seeded rational models, so coefficients and coordinates have denominators
+    def reference(curve, p):
+        x, y = p.x, p.y
+        lhs = y * y + curve.a1 * x * y + curve.a3 * y
+        return lhs == x**3 + curve.a2 * x * x + curve.a4 * x + curve.a6
+
+    rng = random.Random(7)
+
+    def rat():
+        return F(rng.randint(-30, 30), rng.randint(1, 9))
+
+    seen = {True: 0, False: 0}
+    for base in (order5_curve, mixed_torsion_curve):
+        points = [p for p in torsion_subgroup(base).elements if not p.is_infinity]
+        for _ in range(20):
+            phi = ModelMap(rat() or F(1, 2), rat(), rat(), rat())
+            curve = phi.transform_curve(base)
+            for p in map(phi.push_point, points):
+                moved = (CurvePoint(p.x, p.y + rat()), CurvePoint(p.x + rat(), p.y))
+                for q in (p, *moved, CurvePoint(rat(), rat())):
+                    expected = reference(curve, q)
+                    assert curve.is_on_curve(q) is expected
+                    seen[expected] += 1
+    assert seen[True] >= 200 and seen[False] >= 600
 
 
 def test_point_display():
