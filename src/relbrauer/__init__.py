@@ -5,8 +5,8 @@ Jacobian elliptic curve E by a cyclic cocycle through a rational torsion
 point, splits exactly the Brauer classes of Q produced by pairing rational
 points of E with the cocycle.  This package computes that pairing in exact
 rational arithmetic: torsion subgroups, function-field manipulations, the
-constant-valued 2-cocycles, and the resulting cyclic-algebra classes with
-splitting decisions where those are possible.
+constant-valued 2-cocycles, and the resulting cyclic-algebra classes, each
+decided by its local invariants.
 """
 
 from .brauer import (
@@ -17,16 +17,12 @@ from .brauer import (
     CyclicAlgebraClass,
     Cyclotomic,
     Quadratic,
-    RamifiedPrime,
     class_status,
     hilbert_symbol,
     kronecker_symbol,
-    quaternion_class_equal,
     quaternion_group_invariants,
     quaternion_is_split,
     quaternion_witness,
-    residue_degree,
-    unramified_obstruction,
 )
 from .cocycle import (
     NonConstantCocycleValue,
@@ -34,12 +30,10 @@ from .cocycle import (
     TwoCocycle,
     brauer_pairing,
     cocycle_function,
-    cocycle_function_divisor,
     cyclic_reduce,
     line_function,
     pairing_scalar,
     relative_brauer,
-    sum_witness,
     two_cocycle,
     verify_two_cocycle,
 )
@@ -68,7 +62,6 @@ from .funcfield import (
     POLE,
     DivisionByZeroFunction,
     EllFn,
-    FormalDivisor,
 )
 from .torsion import ORDER_BOUND, TorsionGroup, torsion_subgroup
 
@@ -84,7 +77,6 @@ __all__ = [
     "DivisionByZeroFunction",
     "EllFn",
     "FactoringLimitExceeded",
-    "FormalDivisor",
     "IDENTITY_MAP",
     "INDETERMINATE",
     "INFINITE_PLACE",
@@ -96,7 +88,6 @@ __all__ = [
     "PointNotOnCurve",
     "Poly",
     "Quadratic",
-    "RamifiedPrime",
     "Rat",
     "RationalCocycle",
     "SingularCurve",
@@ -106,7 +97,6 @@ __all__ = [
     "brauer_pairing",
     "class_status",
     "cocycle_function",
-    "cocycle_function_divisor",
     "cyclic_reduce",
     "divisors",
     "factor",
@@ -117,16 +107,12 @@ __all__ = [
     "mth_power_free_part",
     "pairing_scalar",
     "poly_gcd",
-    "quaternion_class_equal",
     "quaternion_group_invariants",
     "quaternion_is_split",
     "quaternion_witness",
     "relative_brauer",
-    "residue_degree",
-    "sum_witness",
     "to_short_integral",
     "torsion_subgroup",
     "two_cocycle",
-    "unramified_obstruction",
     "verify_two_cocycle",
 ]

@@ -1,15 +1,20 @@
 """Brauer classes of cyclic algebras over Q and their local invariants.
 
 A class is presented as (L/Q, sigma, b) for a cyclic extension L of degree m
-and b in Q*.  For m = 2 with L = Q(sqrt(d)) the Hasse local-global principle
-decides splitting completely through Hilbert symbols.  For general m the
-module certifies nontriviality when some unramified prime violates the
-local-norm valuation constraint, and otherwise reports the class undecided
-with its order bounded by m.
+and b in Q*.  Both extension descriptors present L as the fixed field of a
+subgroup H of G = (Z/N)*, with G/H cyclic of order m and generated by sigma.
+Over Q a class is fixed by its local invariants, and for abelian L these are
+local Artin symbols: at a prime p, with N = p^k N' and b = p^v u, the symbol
+a_p is the residue mod N with a_p = u^-1 (mod p^k) and a_p = p^v (mod N');
+at the real place a_oo = -1 when b < 0.  The invariant at v is the k in Z/m
+with a_v in sigma^k H.  One vector of these invariants decides every class
+(trivial iff all vanish) and gives the group the classes generate.  By
+reciprocity the a_v multiply to 1 mod N and the invariants sum to 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -18,10 +23,6 @@ from .curve import CurvePoint
 from .exact import factor, is_mth_power, is_probable_prime, rational_exponents
 
 INFINITE_PLACE = "infinity"
-
-
-class RamifiedPrime(Exception):
-    """Residue degrees are defined only at primes not dividing the conductor."""
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -66,8 +67,10 @@ def kronecker_symbol(a: int, n: int) -> int:
 class Quadratic:
     """The extension Q(sqrt(d)) for a squarefree integer d, degree 2.
 
-    primes holds the primes dividing d, ascending; the squarefree check
-    factors d once and the Hilbert-symbol sweeps reuse it.
+    As G/H: N = |disc| for the field discriminant disc (d or 4d), and H is
+    the kernel of the Kronecker character (disc|.).  primes holds the primes
+    dividing d, ascending; with 2 they cover N.  The squarefree check factors
+    d once and the status reuses it.
     """
 
     d: int
@@ -87,19 +90,17 @@ class Quadratic:
     def degree(self) -> int:
         return 2
 
-    def as_cyclotomic(self) -> "Cyclotomic":
-        """The same field as a conductor-and-subgroup descriptor.
+    @property
+    def disc(self) -> int:
+        return self.d if self.d % 4 == 1 else 4 * self.d
 
-        The subgroup is the kernel of the Kronecker character attached to
-        the field discriminant, so its fixed field is exactly Q(sqrt(d)).
-        """
-        disc = self.d if self.d % 4 == 1 else 4 * self.d
-        n = abs(disc)
-        kernel = tuple(
-            a for a in range(1, n)
-            if gcd(a, n) == 1 and kronecker_symbol(disc, a) == 1
-        )
-        return Cyclotomic(n, kernel)
+    @property
+    def conductor(self) -> int:
+        return abs(self.disc)
+
+    def coset_index(self, a: int) -> int:
+        """The k in Z/2 with the unit a mod N in sigma^k H."""
+        return 0 if kronecker_symbol(self.disc, a) == 1 else 1
 
     def literal(self) -> str:
         return f"quad:{self.d}"
@@ -115,13 +116,12 @@ def _check_closed(members: list[int], member_set: set[int], n: int) -> None:
     the span so far is a generator, and the span grows by multiplication
     with it.  Every generator at least doubles the span, so this takes at
     most 2|H| products; the span ends up equal to the members exactly when
-    they are closed.
+    they are closed.  Memory is O(|H|), not O(n).
     """
-    in_span = bytearray(n)
-    in_span[1] = 1
+    in_span = {1}
     span = [1]
     for g in members:
-        if in_span[g]:
+        if g in in_span:
             continue
         # the loop also visits the products it appends, so the span ends up
         # closed under multiplication by g
@@ -129,27 +129,54 @@ def _check_closed(members: list[int], member_set: set[int], n: int) -> None:
             h = a * g % n
             if h not in member_set:
                 raise ValueError("residue list is not closed under multiplication")
-            if not in_span[h]:
-                in_span[h] = 1
+            if h not in in_span:
+                in_span.add(h)
                 span.append(h)
+
+
+def _unit_generators(n: int, exps: dict[int, int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Generators of the cyclic factors of (Z/n)* = prod (Z/p^k)*, each with
+    its order and the primes of that order.
+
+    An odd p^k gives one primitive root; 2^k gives -1 (k >= 2) and 5
+    (k >= 3).  Each is lifted by CRT to 1 modulo the other prime powers.
+    """
+    gens = []
+    for p, k in exps.items():
+        pk = p**k
+        if p == 2:
+            local = [(pk - 1, 2, (2,))] if k >= 2 else []
+            if k >= 3:
+                local.append((5, pk // 4, (2,)))
+        else:
+            qs = tuple(factor(p - 1)[1])
+            g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+            if k > 1 and pow(g, p - 1, p * p) == 1:
+                g += p
+            local = [(g, pk // p * (p - 1), qs + ((p,) if k > 1 else ()))]
+        rest = n // pk
+        for g, order, primes in local:
+            gens.append((1 + rest * ((g - 1) * pow(rest, -1, pk) % pk), order, primes))
+    return gens
 
 
 @dataclass(frozen=True)
 class Cyclotomic:
     """A cyclic subfield of Q(zeta_N): the fixed field of a subgroup H.
 
-    H is a subgroup of (Z/N)* with cyclic quotient; the field degree is
-    phi(N) / |H|.  Splitting of an unramified prime p is read off from the
-    order of p*H in the quotient.
-
-    Validation checks closure with at most 2|H| products, then lists the
-    units mod N and looks for one whose coset has order phi(N) / |H|; that
-    search costs O(N) for a quadratic field and at most O(N * degree).
+    H is a subgroup of G = (Z/N)* with cyclic quotient; the field degree is
+    phi(N) / |H|.  Validation checks closure with at most 2|H| products and
+    then reads cyclicity off the CRT generators g_i of G: G/H is cyclic iff
+    the lcm of the orders of the cosets g_i H, its exponent, is |G| / |H|.
+    That takes a few modular powers per generator and yields sigma, a residue
+    whose coset generates G/H.  primes holds the primes of N, factored once.
     """
 
     conductor: int
     subgroup: tuple[int, ...]
     degree: int = field(init=False, compare=False, repr=False)
+    primes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    sigma: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.conductor
@@ -165,23 +192,27 @@ class Cyclotomic:
             raise ValueError("subgroup does not contain 1")
         member_set = set(members)
         _check_closed(members, member_set, n)
-        units = [a for a in range(1, n) if gcd(a, n) == 1]
-        m = len(units) // len(members)
-        if not any(self._coset_order(a, member_set, m) == m for a in units):
+        _, exps = factor(n)
+        phi, sigma, order = 1, 1, 1  # sigma's coset has order `order`
+        for g, g_order, g_primes in _unit_generators(n, exps):
+            phi *= g_order
+            e = g_order
+            for q in g_primes:
+                while e % q == 0 and pow(g, e // q, n) in member_set:
+                    e //= q
+            # split lcm(order, e) = u * v with u | order, v | e coprime; then
+            # sigma^(order/u) * g^(e/v) has coset order u * v
+            u, v = order, e // gcd(order, e)
+            while (h := gcd(u, v)) != 1:
+                u, v = u // h, v * h
+            sigma = pow(sigma, order // u, n) * pow(g, e // v, n) % n
+            order = u * v
+        if order != phi // len(members):
             raise ValueError("the quotient by the subgroup is not cyclic")
         object.__setattr__(self, "subgroup", tuple(members))
-        object.__setattr__(self, "degree", m)
-
-    def _coset_order(self, a: int, member_set: set[int], bound: int) -> int:
-        n = self.conductor
-        y = a % n
-        order = 1
-        while y not in member_set:
-            y = y * a % n
-            order += 1
-            if order > bound:
-                break
-        return order
+        object.__setattr__(self, "degree", order)
+        object.__setattr__(self, "primes", tuple(sorted(exps)))
+        object.__setattr__(self, "sigma", sigma)
 
     @classmethod
     def from_generators(cls, conductor: int, generators) -> "Cyclotomic":
@@ -203,27 +234,23 @@ class Cyclotomic:
                     frontier.append(b)
         return cls(conductor, tuple(sorted(closure)))
 
+    def coset_index(self, a: int) -> int:
+        """The k in Z/degree with the unit a mod N in sigma^k H."""
+        n, members = self.conductor, self.subgroup
+        step = pow(self.sigma, -1, n)
+        y = a % n
+        for k in range(self.degree):
+            i = bisect_left(members, y)
+            if i < len(members) and members[i] == y:
+                return k
+            y = y * step % n
+        raise ValueError(f"{a} is not a unit modulo {n}")
+
     def literal(self) -> str:
         return f"cyclo:{self.conductor}:" + ",".join(str(h) for h in self.subgroup)
 
     def __str__(self):
         return f"degree-{self.degree} subfield of Q(zeta_{self.conductor})"
-
-
-def residue_degree(ext: Cyclotomic, p: int) -> int:
-    """Order of p modulo the subgroup: the residue degree of p in the field."""
-    if not isinstance(p, int) or p < 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not a prime")
-    n = ext.conductor
-    if n % p == 0:
-        raise RamifiedPrime(f"{p} divides the conductor {n}")
-    members = set(ext.subgroup)
-    y = p % n
-    order = 1
-    while y not in members:
-        y = y * p % n
-        order += 1
-    return order
 
 
 def _valuation_and_unit(r: Fraction, p: int) -> tuple[int, int, int]:
@@ -251,7 +278,8 @@ def hilbert_symbol(a, b, place) -> int:
     +1 iff a*x^2 + b*y^2 = z^2 has a nontrivial solution over the completion.
     Odd primes use the tame formula with Legendre symbols of the unit parts;
     p = 2 uses the mod-8 characters; the real place is -1 iff both arguments
-    are negative.
+    are negative.  The decision path uses local Artin symbols; this is their
+    independent check on quadratic fields.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
@@ -284,18 +312,14 @@ def _odd_prime_support(r: Fraction) -> set[int]:
     return set(rational_exponents(r)) - {2}
 
 
-def _least_failing_prime(a: Fraction, b: Fraction, odd_primes: set[int]) -> int | None:
-    # (a,b) can fail only at 2 and the odd primes dividing a or b
-    for p in [2] + sorted(odd_primes):
-        if hilbert_symbol(a, b, p) == -1:
-            return p
-    return None
-
-
 def quaternion_witness(a, b) -> int | None:
     """Least finite prime where (a,b) fails locally, or None."""
     a, b = Fraction(a), Fraction(b)
-    return _least_failing_prime(a, b, _odd_prime_support(a) | _odd_prime_support(b))
+    # (a,b) can fail only at 2 and the odd primes dividing a or b
+    for p in [2] + sorted(_odd_prime_support(a) | _odd_prime_support(b)):
+        if hilbert_symbol(a, b, p) == -1:
+            return p
+    return None
 
 
 def quaternion_is_split(a, b) -> bool:
@@ -317,7 +341,7 @@ class CyclicAlgebraClass:
     its m-th-power-free representative, the invariant of the class under
     rescaling of the underlying functions.
 
-    primes holds the primes dividing b_raw, ascending; the status sweeps
+    primes holds the primes dividing b_raw, ascending; the local symbols
     reuse them.  A caller that has factored b_raw passes them, and they are
     checked by division; otherwise b_raw is factored here.
     """
@@ -352,24 +376,58 @@ class CyclicAlgebraClass:
         object.__setattr__(self, "primes", primes)
 
 
+def class_places(ext, b_primes) -> list:
+    """The real place, then 2 and the primes of N and of b, ascending: the
+    only places where a local symbol can be nontrivial."""
+    return [INFINITE_PLACE] + sorted({2}.union(ext.primes, b_primes))
+
+
+def local_symbols(alg: CyclicAlgebraClass, places) -> list[int]:
+    """The local Artin symbols a_v of b = alg.b_raw in (Z/N)*, as residues.
+
+    At a prime p, with N = p^k N' and b = p^v u, a_p = u^-1 (mod p^k) and
+    a_p = p^v (mod N'); for p not dividing N that is the Frobenius power
+    p^v.  At the real place a_oo is -1 when b < 0 and 1 otherwise.
+    """
+    n, b = alg.ext.conductor, alg.b_raw
+    symbols = []
+    for place in places:
+        if place == INFINITE_PLACE:
+            symbols.append(n - 1 if b < 0 else 1)
+            continue
+        p, pk = place, 1
+        while n % (pk * p) == 0:
+            pk *= p
+        rest = n // pk
+        v, num, den = _valuation_and_unit(b, p)
+        # u^-1 = den/num mod p^k and p^v mod N', joined by CRT
+        x, y = den * pow(num, -1, pk) % pk, pow(p, v, rest)
+        symbols.append((x + pk * (y - x) * pow(pk, -1, rest)) % n)
+    return symbols
+
+
+def local_invariants(alg: CyclicAlgebraClass, places) -> list[int]:
+    """The local invariants of the class in Z/m: inv_v = k with a_v in sigma^k H."""
+    return [alg.ext.coset_index(a) for a in local_symbols(alg, places)]
+
+
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
-UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
 class ClassStatus:
-    """Decision state of a class: split, certified nonsplit, or open.
+    """Decision of a class: split, or nonsplit with a witness prime.
 
-    An undetermined class still has order dividing m; deciding it would
-    need ramified local norm groups, which are out of scope.
+    Every class over Q is decided by its local invariants; the witness is a
+    finite prime where the local invariant does not vanish.
     """
 
     kind: str
     witness: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (TRIVIAL, NONTRIVIAL, UNDETERMINED):
+        if self.kind not in (TRIVIAL, NONTRIVIAL):
             raise ValueError(f"unknown status kind {self.kind!r}")
         if (self.witness is not None) != (self.kind == NONTRIVIAL):
             raise ValueError("a witness accompanies exactly the nontrivial status")
@@ -382,104 +440,92 @@ class ClassStatus:
     def nontrivial(cls, witness: int) -> "ClassStatus":
         return cls(NONTRIVIAL, witness)
 
-    @classmethod
-    def undetermined(cls) -> "ClassStatus":
-        return cls(UNDETERMINED)
-
     def __str__(self):
         if self.kind == NONTRIVIAL:
             return f"nontrivial (witness prime {self.witness})"
         return self.kind
 
 
-def unramified_obstruction(alg: CyclicAlgebraClass) -> int | None:
-    """Least unramified prime certifying the class nontrivial, if any.
+def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
+    """Decide a class from its local invariants: trivial iff all vanish.
 
-    At a prime p not dividing the conductor, local norms from L have
-    valuation divisible by the residue degree of p; a scalar violating that
-    cannot be a norm, so the class does not split.  Absence of a witness
-    decides nothing.
+    A failure at the real place forces a finite one by reciprocity, so a
+    nontrivial class always has a finite witness.  The witness rule:
+    - Quadratic: the least failing finite prime;
+    - Cyclotomic: the least failing prime not dividing N if there is one,
+      otherwise the least failing prime dividing N.
     """
     ext = alg.ext
-    cyc = ext.as_cyclotomic() if isinstance(ext, Quadratic) else ext
-    n = cyc.conductor
-    for p in sorted(set(alg.primes) | {2}):
-        if n % p == 0:
-            continue
-        v, _, _ = _valuation_and_unit(alg.b_raw, p)
-        if v % residue_degree(cyc, p):
-            return p
-    return None
-
-
-def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
-    """Decide or bound an algebra class.
-
-    m-th-power scalars are trivial outright; quadratic descriptors get the
-    complete Hasse decision; everything else is certified nontrivial by an
-    unramified obstruction or left undetermined.
-    """
-    if alg.b_normalized == 1:
+    places = class_places(ext, alg.primes)
+    failing = [
+        place for place, k in zip(places, local_invariants(alg, places))
+        if k and place != INFINITE_PLACE
+    ]
+    if not failing:
         return ClassStatus.trivial()
-    if isinstance(alg.ext, Quadratic):
-        # reciprocity: a real-place failure forces a finite one, so the
-        # class splits iff no finite prime fails
-        odd_primes = set(alg.ext.primes + alg.primes) - {2}
-        witness = _least_failing_prime(Fraction(alg.ext.d), alg.b_raw, odd_primes)
-        if witness is None:
-            return ClassStatus.trivial()
-        return ClassStatus.nontrivial(witness)
-    witness = unramified_obstruction(alg)
-    if witness is not None:
-        return ClassStatus.nontrivial(witness)
-    return ClassStatus.undetermined()
+    if isinstance(ext, Cyclotomic):
+        failing = [p for p in failing if ext.conductor % p] or failing
+    return ClassStatus.nontrivial(failing[0])
 
 
-def _require_same_quadratic(algs) -> Quadratic:
-    exts = {alg.ext for alg in algs}
-    if len(exts) != 1:
-        raise ValueError("classes live over different extensions")
-    ext = exts.pop()
-    if not isinstance(ext, Quadratic):
-        raise ValueError("quaternion arithmetic needs a quadratic descriptor")
-    return ext
+def _span_invariants(rows, m: int) -> tuple[int, ...]:
+    """Invariant factors of the subgroup of (Z/m)^n spanned by the rows.
 
-
-def quaternion_class_equal(alg1: CyclicAlgebraClass, alg2: CyclicAlgebraClass) -> bool:
-    """Whether two m = 2 classes over the same Q(sqrt(d)) coincide in Br(Q)."""
-    d = _require_same_quadratic((alg1, alg2)).d
-    # quaternion classes are 2-torsion: equality iff the product splits
-    return quaternion_is_split(d, alg1.b_raw * alg2.b_raw)
+    Row and column operations invertible over Z diagonalize the rows,
+    pivoting on a least entry until its row and column are clear; a pivot d
+    spans a cyclic group of order m / gcd(d, m).  gcd/lcm exchanges then put
+    those orders into invariant-factor form, each dividing the next.
+    """
+    rows = [[x % m for x in row] for row in rows]
+    orders = []
+    while True:
+        entries = [(x, i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        pivot, i, j = min(entries)
+        clear = True
+        for r, row in enumerate(rows):
+            if r != i and row[j]:
+                q = row[j] // pivot
+                rows[r] = [(x - q * y) % m for x, y in zip(row, rows[i])]
+                clear = clear and not rows[r][j]
+        for c, x in enumerate(rows[i]):
+            if c != j and x:
+                q = x // pivot
+                for row in rows:
+                    row[c] = (row[c] - q * row[j]) % m
+                clear = clear and not rows[i][c]
+        # an entry left over is below the pivot, so the next one is smaller
+        if clear:
+            orders.append(m // gcd(pivot, m))
+            del rows[i]
+            for row in rows:
+                del row[j]
+    for a in range(len(orders)):
+        for b in range(a + 1, len(orders)):
+            g = gcd(orders[a], orders[b])
+            orders[a], orders[b] = g, orders[a] * orders[b] // g
+    return tuple(o for o in orders if o > 1)
 
 
 def quaternion_group_invariants(algs) -> tuple[int, ...]:
     """Abelian invariants of the subgroup of Br(Q) the classes generate.
 
-    Each class is encoded as its vector of local symbols over the places
-    where any of them can ramify; the span has F_2-rank r, so the group is
-    (Z/2)^r, returned as r copies of 2.
+    This is the one invariants routine for every m; the name dates from the
+    quaternion (m = 2) case.  Each class is encoded as its vector of local
+    invariants in Z/m over the places where any of them can ramify; a class
+    is fixed by that vector, so the group is the span of the vectors in
+    (Z/m)^places.  For m = 2 that is (Z/2)^r, r copies of 2.
     """
     algs = list(algs)
     if not algs:
         return ()
-    ext = _require_same_quadratic(algs)
-    d = ext.d
-    support = set(ext.primes).union(*(alg.primes for alg in algs)) - {2}
-    places = [INFINITE_PLACE, 2] + sorted(support)
-    pivots: dict[int, int] = {}
-    for alg in algs:
-        mask = 0
-        for bit, place in enumerate(places):
-            if hilbert_symbol(d, alg.b_raw, place) == -1:
-                mask |= 1 << bit
-        while mask:
-            top = mask.bit_length() - 1
-            if top in pivots:
-                mask ^= pivots[top]
-            else:
-                pivots[top] = mask
-                break
-    return (2,) * len(pivots)
+    exts = {alg.ext for alg in algs}
+    if len(exts) != 1:
+        raise ValueError("classes live over different extensions")
+    ext = exts.pop()
+    places = class_places(ext, set().union(*(alg.primes for alg in algs)))
+    return _span_invariants([local_invariants(alg, places) for alg in algs], ext.degree)
 
 
 @dataclass(frozen=True)
@@ -496,11 +542,11 @@ class BrauerEntry:
 class BrauerPresentation:
     """Generators of the relative Brauer group with per-class decisions.
 
-    group_invariants is the exact abelian structure when every class is
-    decided (the quadratic m = 2 case) and None otherwise; in either case
-    each listed class has order dividing order_bound.
+    group_invariants is the exact abelian structure of the subgroup of
+    Br(Q) the classes generate, for every m; each class has order dividing
+    order_bound = m.
     """
 
     entries: tuple[BrauerEntry, ...]
-    group_invariants: tuple[int, ...] | None
+    group_invariants: tuple[int, ...]
     order_bound: int

@@ -3,7 +3,7 @@
 Three subcommands: `torsion` prints the rational torsion subgroup of a curve,
 `pairing` computes the Brauer class paired with a single point, and `relbr`
 maps a full generating set, reporting raw and normalized scalars, per-class
-status, and (for quadratic m = 2) the exact group structure.  Output is
+status, and the exact structure of the group the classes generate.  Output is
 plain text or JSON; identical invocations produce byte-identical reports.
 """
 
@@ -19,7 +19,14 @@ from functools import cache
 
 from .brauer import Cyclotomic, Quadratic, class_status
 from .cocycle import NonConstantCocycleValue, RationalCocycle, brauer_pairing, relative_brauer
-from .curve import INFINITY, CurvePoint, PointNotOnCurve, SingularCurve, WeierstrassCurve
+from .curve import (
+    INFINITY,
+    CurvePoint,
+    PointNotOnCurve,
+    SingularCurve,
+    WeierstrassCurve,
+    equation_text,
+)
 from .exact import FactoringLimitExceeded
 from .torsion import torsion_subgroup
 
@@ -238,7 +245,7 @@ def _run_relbr(job: JobSpec) -> dict:
             (point, job.curve.point_order(point)) for point in job.gens
         )
     presentation = relative_brauer(cocycle, generators, job.ext)
-    report = {
+    return {
         "schema": "1",
         "command": "relbr",
         "curve": _curve_json(job.curve),
@@ -249,10 +256,8 @@ def _run_relbr(job: JobSpec) -> dict:
             for e in presentation.entries
         ],
         "order_bound": presentation.order_bound,
+        "group_structure": list(presentation.group_invariants),
     }
-    if presentation.group_invariants is not None:
-        report["group_structure"] = list(presentation.group_invariants)
-    return report
 
 
 def _point_text(value) -> str:
@@ -261,22 +266,15 @@ def _point_text(value) -> str:
     return f"({value[0]}, {value[1]})"
 
 
-def _curve_text(data: dict) -> str:
-    curve = WeierstrassCurve(*(Fraction(data[k]) for k in ("a1", "a2", "a3", "a4", "a6")))
-    return curve.equation()
-
-
-def _status_text(entry: dict, bound: int) -> str:
-    status = entry["status"]
-    if status == "nontrivial":
+def _status_text(entry: dict) -> str:
+    if entry["status"] == "nontrivial":
         return f"nontrivial (witness prime {entry['witness']})"
-    if status == "undetermined":
-        return f"undetermined (class order divides {bound})"
-    return status
+    return entry["status"]
 
 
 def render_text(report: dict) -> str:
-    lines = [f"curve: {_curve_text(report['curve'])}"]
+    curve = report["curve"]
+    lines = [f"curve: {equation_text(*(curve[k] for k in ('a1', 'a2', 'a3', 'a4', 'a6')))}"]
     if report["command"] == "torsion":
         lines.append(f"torsion: {report['structure']} (order {report['order']})")
         lines.append("generators:")
@@ -287,21 +285,17 @@ def render_text(report: dict) -> str:
     cocycle = report["cocycle"]
     lines.append(f"cocycle: m = {cocycle['m']}, t = {_point_text(cocycle['t'])}")
     lines.append(f"extension: {report['extension']}")
-    bound = cocycle["m"]
     for entry in report["results"]:
         order = entry.get("order")
         suffix = f"  order {order}" if order is not None else ""
         lines.append(f"point: {_point_text(entry['point'])}{suffix}")
         lines.append(f"  b_raw: {entry['b_raw']}")
         lines.append(f"  b_normalized: {entry['b_normalized']}")
-        lines.append(f"  status: {_status_text(entry, bound)}")
+        lines.append(f"  status: {_status_text(entry)}")
     if report["command"] == "relbr":
-        invariants = report.get("group_structure")
-        if invariants is not None:
-            text = " x ".join(f"Z/{n}" for n in invariants) if invariants else "trivial"
-            lines.append(f"group structure: {text}")
-        else:
-            lines.append(f"order bound: every class order divides {bound}")
+        invariants = report["group_structure"]
+        text = " x ".join(f"Z/{n}" for n in invariants) if invariants else "trivial"
+        lines.append(f"group structure: {text}")
     return "\n".join(lines)
 
 

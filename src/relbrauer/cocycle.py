@@ -23,13 +23,12 @@ from .brauer import (
     BrauerEntry,
     BrauerPresentation,
     CyclicAlgebraClass,
-    Quadratic,
     class_status,
     quaternion_group_invariants,
 )
 from .curve import INFINITY, CurvePoint, WeierstrassCurve
 from .exact import Poly, mth_power_free_part, rational_exponents
-from .funcfield import EllFn, FormalDivisor
+from .funcfield import EllFn
 
 
 class NonConstantCocycleValue(Exception):
@@ -69,16 +68,6 @@ def line_function(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> EllF
     )
 
 
-def sum_witness(curve: WeierstrassCurve, p1: CurvePoint, p2: CurvePoint) -> EllFn:
-    """A function with divisor p1 + p2 - (p1 + p2 in the group) - infinity.
-
-    Witnesses that the formal sum of two points and their group sum agree
-    in the degree-zero class group.
-    """
-    total = curve.add(p1, p2)
-    return line_function(curve, p1, p2) / line_function(curve, total, curve.negate(total))
-
-
 def cocycle_function(curve: WeierstrassCurve, shift: CurvePoint, p: CurvePoint) -> EllFn:
     """The function with divisor (shift + p) + infinity - shift - p,
     normalized to weighted leading coefficient 1.
@@ -92,18 +81,6 @@ def cocycle_function(curve: WeierstrassCurve, shift: CurvePoint, p: CurvePoint) 
     numer = line_function(curve, total, curve.negate(total))
     denom = line_function(curve, shift, p)
     return (numer / denom).monic()
-
-
-def cocycle_function_divisor(curve: WeierstrassCurve, shift: CurvePoint, p: CurvePoint) -> FormalDivisor:
-    """The divisor contract of cocycle_function, with coincidences merged."""
-    return FormalDivisor.from_pairs(
-        (
-            (curve.add(shift, p), 1),
-            (INFINITY, 1),
-            (shift, -1),
-            (p, -1),
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -284,14 +261,12 @@ def relative_brauer(cocycle: RationalCocycle, generators, ext) -> BrauerPresenta
 
     generators is a sequence of (point, order) pairs, typically the
     generators of a torsion subgroup when the rank is asserted to be zero.
-    The exact group structure is attached only in the quadratic m = 2 case;
-    otherwise every class order divides m and statuses bound the rest.
+    Every class is decided, and the exact structure of the group they
+    generate is attached for every m.
     """
     entries = []
     for point, order in generators:
         algebra = brauer_pairing(cocycle, point, ext)
         entries.append(BrauerEntry(point, order, algebra, class_status(algebra)))
-    invariants = None
-    if cocycle.m == 2 and isinstance(ext, Quadratic):
-        invariants = quaternion_group_invariants([e.algebra for e in entries])
+    invariants = quaternion_group_invariants([e.algebra for e in entries])
     return BrauerPresentation(tuple(entries), invariants, cocycle.m)

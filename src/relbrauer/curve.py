@@ -52,6 +52,26 @@ class CurvePoint:
 
 INFINITY = CurvePoint()
 
+# Mazur: a rational torsion point has order at most 12
+ORDER_BOUND = 12
+
+
+def equation_text(a1: str, a2: str, a3: str, a4: str, a6: str) -> str:
+    """The equation of the model whose coefficients are written as the
+    strings str(Fraction), e.g. 'y^2 + y = x^3 - x^2 - 10*x - 20'."""
+
+    def side(head, terms):
+        for coeff, sym in terms:
+            if coeff != "0":
+                mag = coeff.lstrip("-")
+                if sym:
+                    mag = sym if mag == "1" else f"{mag}*{sym}"
+                head += (" - " if coeff.startswith("-") else " + ") + mag
+        return head
+
+    lhs = side("y^2", [(a1, "x*y"), (a3, "y")])
+    return f"{lhs} = {side('x^3', [(a2, 'x^2'), (a4, 'x'), (a6, '')])}"
+
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -92,20 +112,7 @@ class WeierstrassCurve:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def equation(self) -> str:
-        def side(pairs, constant):
-            out = ""
-            for coeff, sym in pairs:
-                if coeff == 0:
-                    continue
-                mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
-                out += (" - " if coeff < 0 else " + ") + mag + sym
-            if constant != 0:
-                out += (" - " if constant < 0 else " + ") + str(abs(constant))
-            return out
-
-        lhs = "y^2" + side([(self.a1, "x*y"), (self.a3, "y")], 0)
-        rhs = "x^3" + side([(self.a2, "x^2"), (self.a4, "x")], self.a6)
-        return f"{lhs} = {rhs}"
+        return equation_text(*(str(a) for a in (self.a1, self.a2, self.a3, self.a4, self.a6)))
 
     def is_on_curve(self, p: CurvePoint) -> bool:
         """Whether p satisfies the curve equation.
@@ -167,7 +174,7 @@ class WeierstrassCurve:
             n >>= 1
         return result
 
-    def point_order(self, p: CurvePoint, bound: int = 16) -> int | None:
+    def point_order(self, p: CurvePoint, bound: int = ORDER_BOUND) -> int | None:
         """Smallest n >= 1 with n*p = O, or None if it exceeds bound."""
         self._require(p)
         q = p

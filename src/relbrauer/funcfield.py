@@ -8,7 +8,6 @@ Inversion multiplies by the y-conjugate to push the denominator into Q[x].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import CurvePoint, WeierstrassCurve
@@ -294,20 +293,6 @@ class EllFn:
             return POLE
         return INDETERMINATE
 
-    def vanishes_at(self, point: CurvePoint) -> bool:
-        v = self.evaluate(point)
-        if v is INDETERMINATE and not self.is_zero:
-            return self.inverse().evaluate(point) is POLE
-        return isinstance(v, Fraction) and v == 0
-
-    def has_pole_at(self, point: CurvePoint) -> bool:
-        if self.is_zero:
-            raise DivisionByZeroFunction("the zero function has no poles")
-        w = self.inverse().evaluate(point)
-        if w is INDETERMINATE:
-            return self.evaluate(point) is POLE
-        return isinstance(w, Fraction) and w == 0
-
     def translate(self, q: CurvePoint) -> "EllFn":
         """Pullback under the translation P -> P - q.
 
@@ -368,39 +353,3 @@ class EllFn:
             return EllFn(c, nump * u ** (ed - en), numq * u ** (ed - en), norm)
         return EllFn(c, nump, numq, norm * u ** (en - ed))
 
-
-@dataclass(frozen=True)
-class FormalDivisor:
-    """A finite formal sum of points with nonzero integer multiplicities."""
-
-    entries: tuple[tuple[CurvePoint, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for point, mult in self.entries:
-            if mult == 0:
-                raise ValueError("zero multiplicity in a formal divisor")
-            if point in seen:
-                raise ValueError(f"repeated point {point} in a formal divisor")
-            seen.add(point)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "FormalDivisor":
-        acc: dict[CurvePoint, int] = {}
-        for point, mult in pairs:
-            acc[point] = acc.get(point, 0) + mult
-        entries = tuple(
-            sorted(
-                ((p, m) for p, m in acc.items() if m != 0),
-                key=lambda e: (not e[0].is_infinity, e[0].x, e[0].y),
-            )
-        )
-        return cls(entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    @property
-    def support(self) -> tuple[CurvePoint, ...]:
-        return tuple(p for p, _ in self.entries)

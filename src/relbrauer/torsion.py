@@ -2,7 +2,7 @@
 
 Candidates come from the integrality theorem on a short integral model:
 a torsion point there has integer coordinates with y = 0 or y^2 dividing the
-discriminant.  Survivors of an order check (<= 16, the rational bound) are
+discriminant.  Survivors of an order check (<= 12, Mazur's bound) are
 mapped back to the original model and assembled into a group presentation.
 """
 
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .curve import INFINITY, CurvePoint, WeierstrassCurve, to_short_integral
+from .curve import INFINITY, ORDER_BOUND, CurvePoint, WeierstrassCurve, to_short_integral
 from .exact import divisors, factor
-
-ORDER_BOUND = 16
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,19 @@ from relbrauer.brauer import (
     CyclicAlgebraClass,
     Cyclotomic,
     Quadratic,
-    RamifiedPrime,
+    _span_invariants,
+    class_places,
     class_status,
     hilbert_symbol,
     kronecker_symbol,
-    quaternion_class_equal,
+    local_invariants,
+    local_symbols,
     quaternion_group_invariants,
     quaternion_is_split,
     quaternion_witness,
-    residue_degree,
-    unramified_obstruction,
 )
+from relbrauer.cli import parse_extension
+from relbrauer.exact import mth_power_free_part
 
 
 def test_kronecker_symbol_known_values():
@@ -80,11 +82,12 @@ def test_quadratic_descriptor():
     "d,conductor,subgroup",
     [(-1, 4, (1,)), (3, 12, (1, 11)), (5, 5, (1, 4)), (-3, 3, (1,))],
 )
-def test_quadratic_as_cyclotomic(d, conductor, subgroup):
-    ext = Quadratic(d).as_cyclotomic()
+def test_quadratic_as_g_mod_h(d, conductor, subgroup):
+    ext = Quadratic(d)
     assert ext.conductor == conductor
-    assert ext.subgroup == subgroup
-    assert ext.degree == 2
+    units = [a for a in range(1, conductor) if gcd(a, conductor) == 1]
+    assert tuple(a for a in units if ext.coset_index(a) == 0) == subgroup
+    assert {ext.coset_index(a) for a in units} == {0, 1}
 
 
 def test_cyclotomic_descriptor():
@@ -150,23 +153,55 @@ def test_descriptor_validation_is_bounded():
     start = time.perf_counter()
     assert Cyclotomic.from_generators(10007, (25,)).degree == 2
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("literal", ["cyclo:10000:1", "cyclo:40000:1"])
+def test_large_noncyclic_conductor_refused_fast(literal):
+    # (Z/16)* and (Z/64)* are not cyclic; no list of the phi(N) units is made
     start = time.perf_counter()
-    assert Quadratic(100003).as_cyclotomic().degree == 2
-    assert time.perf_counter() - start < 5
+    with pytest.raises(ValueError, match="not cyclic"):
+        parse_extension(literal)
+    assert time.perf_counter() - start < 0.5
 
 
-def test_residue_degree():
-    half_eleventh = Cyclotomic(11, (1, 10))
-    assert residue_degree(half_eleventh, 2) == 5
-    assert residue_degree(half_eleventh, 3) == 5
-    with pytest.raises(RamifiedPrime):
-        residue_degree(half_eleventh, 11)
-    fifth = Cyclotomic(5, (1,))
-    assert residue_degree(fifth, 2) == 4
-    assert residue_degree(fifth, 11) == 1
-    assert residue_degree(fifth, 19) == 2
-    with pytest.raises(ValueError):
-        residue_degree(fifth, 6)
+def _coset_order(n, members, a):
+    y, order = a % n, 1
+    while y not in members:
+        y, order = y * a % n, order + 1
+    return order
+
+
+def _unit_list_cyclic_degree(n, members):
+    # the old search: list the units and look for a coset of order |G|/|H|
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    m = len(units) // len(members)
+    return m if any(_coset_order(n, members, a) == m for a in units) else None
+
+
+def test_crt_cyclicity_matches_unit_list_search():
+    rng = random.Random(36)
+    kinds = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randrange(3, 201)
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        gens = rng.sample(units, rng.randrange(0, 3))
+        members = _span(n, gens)
+        expected = _unit_list_cyclic_degree(n, members)
+        try:
+            ext = Cyclotomic.from_generators(n, gens)
+        except ValueError as exc:
+            assert str(exc) == "the quotient by the subgroup is not cyclic"
+            assert expected is None, (n, gens)
+            kinds[False] += 1
+            continue
+        assert ext.degree == expected, (n, gens)
+        assert ext.primes == tuple(
+            p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))
+        )
+        # sigma's coset generates G/H
+        assert _coset_order(n, members, ext.sigma) == ext.degree
+        kinds[True] += 1
+    assert kinds[True] > 100 and kinds[False] > 30
 
 
 def test_hilbert_symbol_known_values():
@@ -240,7 +275,9 @@ def test_cyclic_algebra_class_validation():
 def test_class_status_constructors():
     assert ClassStatus.trivial().kind == "trivial"
     assert ClassStatus.nontrivial(3).witness == 3
-    assert ClassStatus.undetermined().witness is None
+    assert ClassStatus.trivial().witness is None
+    with pytest.raises(ValueError):
+        ClassStatus("undetermined")
     assert str(ClassStatus.nontrivial(7)) == "nontrivial (witness prime 7)"
     assert str(ClassStatus.trivial()) == "trivial"
     with pytest.raises(ValueError):
@@ -299,34 +336,155 @@ def test_class_status_unramified_obstruction():
     ext = Cyclotomic(5, (1,))
     # v_2(2) = 1 is not divisible by the residue degree 4
     alg = CyclicAlgebraClass(4, ext, F(2), F(2))
-    assert unramified_obstruction(alg) == 2
     st = class_status(alg)
     assert st.kind == "nontrivial" and st.witness == 2
-    # 11 splits completely so v_11 = 1 is harmless, and 5 ramifies and is
-    # skipped: nothing certifies 55
+    # 11 splits completely, and at the ramified 5 the symbol of 55 = 5 * 11
+    # is 11^-1 = 1 mod 5: 55 is a local norm everywhere
     unseen = CyclicAlgebraClass(4, ext, F(55), F(55))
-    assert unramified_obstruction(unseen) is None
-    assert class_status(unseen).kind == "undetermined"
+    assert class_status(unseen).kind == "trivial"
+    # 5 = N(1 - zeta_5) is a global norm
     open_case = CyclicAlgebraClass(4, ext, F(5), F(5))
-    assert unramified_obstruction(open_case) is None
-    assert class_status(open_case).kind == "undetermined"
+    assert class_status(open_case).kind == "trivial"
 
 
-def test_quaternion_class_equal():
-    a1 = CyclicAlgebraClass(2, Quadratic(-1), F(3), F(3))
-    a2 = CyclicAlgebraClass(2, Quadratic(-1), F(75), F(3))
-    a3 = CyclicAlgebraClass(2, Quadratic(-1), F(5), F(5))
-    assert quaternion_class_equal(a1, a2)
-    assert not quaternion_class_equal(a1, a3)
-    other_field = CyclicAlgebraClass(2, Quadratic(3), F(5), F(5))
-    with pytest.raises(ValueError):
-        quaternion_class_equal(a1, other_field)
+def test_class_status_witness_rule():
+    # Cyclotomic: the least failing prime not dividing N comes first.  For
+    # E1's class -1/11 over the quintic subfield of Q(zeta_25), both 5 and
+    # 11 fail and the witness is 11.
+    ext = Cyclotomic.from_generators(25, (7,))
+    alg = CyclicAlgebraClass(5, ext, F(-1, 11), F(14641))
+    places = class_places(ext, alg.primes)
+    assert places == [INFINITE_PLACE, 2, 5, 11]
+    assert [k != 0 for k in local_invariants(alg, places)] == [False, False, True, True]
+    assert class_status(alg) == ClassStatus.nontrivial(11)
+    # with no unramified failure the least failing ramified prime is taken
+    minus_one = CyclicAlgebraClass(4, Cyclotomic(5, (1,)), F(-1), F(-1))
+    assert class_status(minus_one) == ClassStatus.nontrivial(5)
+    # Quadratic: the least failing prime, ramified or not (2 before 3 here)
+    assert class_status(CyclicAlgebraClass(2, Quadratic(-1), F(3), F(3))).witness == 2
+
+
+def _old_unramified_obstruction(alg):
+    # the former certificate: an unramified p with v_p(b) not divisible by
+    # the residue degree, the order of p modulo H
+    n, members = alg.ext.conductor, set(alg.ext.subgroup)
+    for p in sorted(set(alg.primes) | {2}):
+        if n % p:
+            v = 0
+            num, den = alg.b_raw.numerator, alg.b_raw.denominator
+            while num % p == 0:
+                num, v = num // p, v + 1
+            while den % p == 0:
+                den, v = den // p, v - 1
+            if v % _coset_order(n, members, p):
+                return p
+    return None
+
+
+def _random_cyclotomic_fields(rng, count, degrees=range(2, 13), bound=200):
+    fields = []
+    while len(fields) < count:
+        n = rng.randrange(3, bound)
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        try:
+            ext = Cyclotomic.from_generators(n, rng.sample(units, rng.randrange(0, 3)))
+        except ValueError:
+            continue
+        if ext.degree in degrees:
+            fields.append(ext)
+    return fields
+
+
+def _random_scalar(rng):
+    num = rng.choice((1, -1)) * rng.randrange(1, 5000)
+    return F(num, rng.randrange(1, 300))
+
+
+def test_cyclotomic_status_keeps_every_old_certificate():
+    rng = random.Random(37)
+    certified = 0
+    for ext in _random_cyclotomic_fields(rng, 60):
+        for _ in range(5):
+            b = _random_scalar(rng)
+            alg = CyclicAlgebraClass(ext.degree, ext, b, mth_power_free_part(b, ext.degree))
+            witness = _old_unramified_obstruction(alg)
+            status = class_status(alg)
+            if witness is not None:
+                assert status == ClassStatus.nontrivial(witness), (ext, b)
+                certified += 1
+    assert certified > 50
+
+
+def test_artin_symbols_equal_hilbert_symbols():
+    rng = random.Random(38)
+    cases = 0
+    while cases < 150:
+        d = rng.randrange(-500, 500)
+        if d in (0, 1) or any(d % (k * k) == 0 for k in range(2, 23)):
+            continue
+        ext = Quadratic(d)
+        b = _random_scalar(rng)
+        alg = CyclicAlgebraClass(2, ext, b, mth_power_free_part(b, 2))
+        places = class_places(ext, alg.primes)
+        for place, k in zip(places, local_invariants(alg, places)):
+            assert (-1) ** k == hilbert_symbol(d, b, place), (d, b, place)
+        cases += 1
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_reciprocity(m):
+    # the local symbols multiply to 1 mod N, and the invariants sum to 0 in Z/m
+    rng = random.Random(100 + m)
+    fields = _random_cyclotomic_fields(rng, 4, degrees=(m,), bound=300)
+    if m == 2:
+        fields += [Quadratic(d) for d in (-1, 2, -3, 5, 6, -15, 33)]
+    for ext in fields:
+        for _ in range(6):
+            b = _random_scalar(rng)
+            alg = CyclicAlgebraClass(m, ext, b, mth_power_free_part(b, m))
+            places = class_places(ext, alg.primes)
+            product = 1
+            for a in local_symbols(alg, places):
+                product = product * a % ext.conductor
+            assert product == 1, (ext, b)
+            assert sum(local_invariants(alg, places)) % m == 0, (ext, b)
+
+
+def _span_by_enumeration(rows, m):
+    span = {tuple([0] * len(rows[0]))}
+    frontier = list(span)
+    while frontier:
+        v = frontier.pop()
+        for row in rows:
+            w = tuple((x + y) % m for x, y in zip(v, row))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return span
+
+
+def test_span_invariants_match_enumeration():
+    rng = random.Random(39)
+    for _ in range(150):
+        m = rng.randrange(2, 13)
+        n = rng.randrange(1, 4)
+        rows = [[rng.randrange(m) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
+        invariants = _span_invariants(rows, m)
+        assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
+        assert all(m % c == 0 and c > 1 for c in invariants)
+        span = _span_by_enumeration(rows, m)
+        # the number of elements killed by each d | m fixes a finite abelian group
+        for d in range(1, m + 1):
+            if m % d == 0:
+                killed = sum(all(d * x % m == 0 for x in v) for v in span)
+                expected = 1
+                for c in invariants:
+                    expected *= gcd(d, c)
+                assert killed == expected, (rows, m, invariants)
 
 
 def test_quaternion_group_invariants():
     def alg(b):
-        from relbrauer.exact import mth_power_free_part
-
         return CyclicAlgebraClass(2, Quadratic(-1), F(b), mth_power_free_part(F(b), 2))
 
     assert quaternion_group_invariants([]) == ()
@@ -334,3 +492,20 @@ def test_quaternion_group_invariants():
     assert quaternion_group_invariants([alg(3)]) == (2,)
     assert quaternion_group_invariants([alg(3), alg(7), alg(21)]) == (2, 2)
     assert quaternion_group_invariants([alg(3), alg(75)]) == (2,)
+
+
+def test_group_invariants_above_m_2():
+    # quartic subfield of Q(zeta_13): invariants (2, 1, 1) and (2, 2, 0) at
+    # the real place, 5 and 13 span Z/2 x Z/4
+    ext = Cyclotomic.from_generators(13, (3,))
+
+    def alg(b):
+        return CyclicAlgebraClass(4, ext, b, mth_power_free_part(b, 4))
+
+    first, second = alg(F(-1, 125)), alg(F(-16, 2025))
+    assert quaternion_group_invariants([first, second]) == (2, 4)
+    assert quaternion_group_invariants([first]) == (4,)
+    assert quaternion_group_invariants([second]) == (2,)
+    assert quaternion_group_invariants([alg(F(16))]) == ()
+    with pytest.raises(ValueError):
+        quaternion_group_invariants([first, CyclicAlgebraClass(2, Quadratic(-1), F(3), F(3))])

@@ -128,7 +128,7 @@ def test_main_pairing_json(capsys):
     assert result["order"] == 5
     assert result["b_raw"] == "-1/11"
     assert result["b_normalized"] == "14641"
-    assert result["status"] == "undetermined"
+    assert result["status"] == "trivial"
 
 
 def test_main_json_is_deterministic(capsys):
@@ -155,7 +155,7 @@ def test_relbr_auto_generators_warn_about_rank(capsys):
     assert main(args) == 0
     captured = capsys.readouterr()
     assert "rank" in captured.err
-    assert "order bound: every class order divides 4" in captured.out
+    assert captured.out.endswith("group structure: Z/2\n")
 
 
 def test_relbr_explicit_generators(capsys):
@@ -175,6 +175,36 @@ def test_relbr_explicit_generators(capsys):
     entries = report["results"]
     assert [e["point"] for e in entries] == [["8", "18"], ["-1", "0"]]
     assert [e["b_normalized"] for e in entries] == ["5", "-1"]
+
+
+def test_relbr_group_structure_above_m_2(capsys):
+    # over the quartic subfield of Q(zeta_13) the classes of (-2, 3) and
+    # (-13/4, 9/8) have local invariants (2, 1, 1) and (2, 2, 0) at the
+    # real place, 5 and 13, which span Z/2 x Z/4 in (Z/4)^3
+    args = ["relbr", "--curve", "1,1,1,-10,-10", "--t=-8,18", "--m", "4", "--ext", "cyclo:13:3"]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    assert text.endswith(
+        "  status: nontrivial (witness prime 5)\ngroup structure: Z/2 x Z/4\n"
+    )
+    assert main(args + ["--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["group_structure"] == [2, 4]
+    assert report["order_bound"] == 4
+    assert [e["status"] for e in report["results"]] == ["nontrivial", "nontrivial"]
+
+
+def test_render_text_reads_the_equation_from_the_report(monkeypatch):
+    import relbrauer.curve as curve_mod
+
+    report = run(JobSpec(command="torsion", curve=WeierstrassCurve(1, -1, F(-1, 2), F(3, 4), -1)))
+
+    def no_rebuild(self):
+        raise AssertionError("render_text must not rebuild the curve")
+
+    monkeypatch.setattr(curve_mod.WeierstrassCurve, "discriminant", no_rebuild)
+    text = render_text(report)
+    assert text.startswith("curve: y^2 + x*y - 1/2*y = x^3 - x^2 + 3/4*x - 1\n")
 
 
 def test_relbr_quaternion_structure(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from relbrauer import (
     INFINITY,
+    ORDER_BOUND,
     CurvePoint,
     ModelMap,
     PointNotOnCurve,
@@ -13,6 +14,7 @@ from relbrauer import (
     to_short_integral,
     torsion_subgroup,
 )
+from relbrauer.curve import equation_text
 
 
 def test_singular_models_rejected():
@@ -32,6 +34,59 @@ def test_invariants(order5_curve, mixed_torsion_curve, hyperelliptic_curve):
 def test_equation_strings(order5_curve, mixed_torsion_curve):
     assert order5_curve.equation() == "y^2 + y = x^3 - x^2 - 10*x - 20"
     assert mixed_torsion_curve.equation() == "y^2 + x*y + y = x^3 + x^2 - 10*x - 10"
+
+
+def _fraction_equation(c):
+    # the equation as WeierstrassCurve.equation wrote it from Fractions
+    def side(pairs, constant):
+        out = ""
+        for coeff, sym in pairs:
+            if coeff == 0:
+                continue
+            mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
+            out += (" - " if coeff < 0 else " + ") + mag + sym
+        if constant != 0:
+            out += (" - " if constant < 0 else " + ") + str(abs(constant))
+        return out
+
+    lhs = "y^2" + side([(c.a1, "x*y"), (c.a3, "y")], 0)
+    rhs = "x^3" + side([(c.a2, "x^2"), (c.a4, "x")], c.a6)
+    return f"{lhs} = {rhs}"
+
+
+def test_equation_text_matches_fraction_formula():
+    rng = random.Random(41)
+    values = [F(0), F(1), F(-1), F(2), F(-10), F(1, 2), F(-3, 4), F(7, 9), F(-1, 3)]
+    checked = 0
+    while checked < 200:
+        coeffs = [rng.choice(values) for _ in range(5)]
+        try:
+            c = WeierstrassCurve(*coeffs)
+        except SingularCurve:
+            continue
+        expected = _fraction_equation(c)
+        assert c.equation() == expected
+        assert equation_text(*(str(a) for a in coeffs)) == expected
+        checked += 1
+
+
+def test_order_bound_is_mazurs_and_shared(monkeypatch, rank_one_curve):
+    import relbrauer.curve as curve_mod
+    import relbrauer.torsion as torsion_mod
+
+    assert ORDER_BOUND == 12
+    assert torsion_mod.ORDER_BOUND is curve_mod.ORDER_BOUND
+    adds = []
+    add = WeierstrassCurve.add
+
+    def counted_add(self, p, q):
+        adds.append(1)
+        return add(self, p, q)
+
+    monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
+    # a point of infinite order gives up after 12 multiples
+    assert rank_one_curve.point_order(CurvePoint(F(1), F(1))) is None
+    assert len(adds) == 12
 
 
 def test_membership(order5_curve):
