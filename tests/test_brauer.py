@@ -27,6 +27,8 @@ from relbrauer.brauer import (
 from relbrauer.cli import parse_extension
 from relbrauer.exact import mth_power_free_part
 
+from oracles import quaternion_class_equal
+
 
 def test_kronecker_symbol_known_values():
     assert kronecker_symbol(-4, 3) == -1
@@ -82,7 +84,8 @@ def test_quadratic_descriptor():
     "d,conductor,subgroup",
     [(-1, 4, (1,)), (3, 12, (1, 11)), (5, 5, (1, 4)), (-3, 3, (1,))],
 )
-def test_quadratic_as_g_mod_h(d, conductor, subgroup):
+def test_quadratic_as_cyclotomic(d, conductor, subgroup):
+    # Q(sqrt(d)) is the fixed field of H = ker(kronecker(disc, .)) in (Z/N)*
     ext = Quadratic(d)
     assert ext.conductor == conductor
     units = [a for a in range(1, conductor) if gcd(a, conductor) == 1]
@@ -162,6 +165,28 @@ def test_large_noncyclic_conductor_refused_fast(literal):
     with pytest.raises(ValueError, match="not cyclic"):
         parse_extension(literal)
     assert time.perf_counter() - start < 0.5
+
+
+def test_residue_degree():
+    # at p not dividing N the symbol of b = p is the Frobenius p mod N, so the
+    # residue degree of p is the order of the local invariant of (L, sigma, p)
+    def residue_degree(ext, p):
+        alg = CyclicAlgebraClass(ext.degree, ext, F(p), mth_power_free_part(F(p), ext.degree))
+        (inv,) = local_invariants(alg, [p])
+        return ext.degree // gcd(inv, ext.degree)
+
+    half_eleventh = Cyclotomic(11, (1, 10))
+    assert residue_degree(half_eleventh, 2) == 5
+    assert residue_degree(half_eleventh, 3) == 5
+    # 11 ramifies: it is no unit mod N and has no Frobenius coset
+    with pytest.raises(ValueError):
+        half_eleventh.coset_index(11)
+    fifth = Cyclotomic(5, (1,))
+    assert residue_degree(fifth, 2) == 4
+    assert residue_degree(fifth, 11) == 1
+    assert residue_degree(fifth, 19) == 2
+    with pytest.raises(ValueError):
+        fifth.coset_index(10)
 
 
 def _coset_order(n, members, a):
@@ -481,6 +506,21 @@ def test_span_invariants_match_enumeration():
                 for c in invariants:
                     expected *= gcd(d, c)
                 assert killed == expected, (rows, m, invariants)
+
+
+def test_quaternion_class_equal():
+    a1 = CyclicAlgebraClass(2, Quadratic(-1), F(3), F(3))
+    a2 = CyclicAlgebraClass(2, Quadratic(-1), F(75), F(3))
+    a3 = CyclicAlgebraClass(2, Quadratic(-1), F(5), F(5))
+    assert quaternion_class_equal(a1, a2)
+    assert not quaternion_class_equal(a1, a3)
+    other_field = CyclicAlgebraClass(2, Quadratic(3), F(5), F(5))
+    with pytest.raises(ValueError):
+        quaternion_class_equal(a1, other_field)
+    # equal classes have equal local invariants at every place
+    places = class_places(a1.ext, set(a1.primes) | set(a2.primes) | set(a3.primes))
+    assert local_invariants(a1, places) == local_invariants(a2, places)
+    assert local_invariants(a1, places) != local_invariants(a3, places)
 
 
 def test_quaternion_group_invariants():

@@ -25,7 +25,7 @@ from relbrauer import (
 )
 from relbrauer.funcfield import EllFn
 
-from oracles import vanishes_at
+from oracles import has_pole_at, vanishes_at
 
 
 @pytest.fixture
@@ -68,6 +68,16 @@ def test_vertical_chord(order5_curve, order5_gen, xy):
     assert vanishes_at(line, g4)
 
 
+def test_sum_witness_divisor(order5_curve, order5_gen):
+    # the inverse of a cocycle function witnesses p1 + p2 ~ (p1 + p2) + O
+    g2 = order5_curve.multiply(2, order5_gen)
+    g3 = order5_curve.multiply(3, order5_gen)
+    w = cocycle_function(order5_curve, order5_gen, g2).inverse()
+    assert vanishes_at(w, order5_gen)
+    assert vanishes_at(w, g2)
+    assert has_pole_at(w, g3)
+
+
 def test_cocycle_function_closed_forms(order5_curve, order5_gen, xy):
     x, y = xy
     f1 = cocycle_function(order5_curve, order5_gen, order5_gen)
@@ -86,6 +96,23 @@ def test_cocycle_function_is_monic(order5_curve, mixed_torsion_curve):
     ]
     for curve, shift, p in cases:
         assert cocycle_function(curve, shift, p).leading_coefficient() == 1
+
+
+def test_cocycle_function_divisor(order5_curve, order5_gen):
+    # divisor (shift + p) + O - shift - p, with coincident points merged
+    g = order5_gen
+    g2 = order5_curve.multiply(2, g)
+    g3 = order5_curve.multiply(3, g)
+    g4 = order5_curve.multiply(4, g)
+    f = cocycle_function(order5_curve, g, g)
+    assert vanishes_at(f, g2)
+    assert has_pole_at(f, g)
+    assert not vanishes_at(f, g3) and not has_pole_at(f, g3)
+    # when shift + p = O the zero at infinity doubles up: no finite zero
+    f2 = cocycle_function(order5_curve, g4, g)
+    assert has_pole_at(f2, g) and has_pole_at(f2, g4)
+    for q in (g2, g3):
+        assert not vanishes_at(f2, q) and not has_pole_at(f2, q)
 
 
 def test_cocycle_function_rejects_off_curve_points(order5_curve, order5_gen):
