@@ -15,12 +15,11 @@ reciprocity the a_v multiply to 1 mod N and the invariants sum to 0.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .curve import CurvePoint
-from .exact import factor, is_mth_power, is_probable_prime, rational_exponents
+from .exact import _Value, factor, is_mth_power, is_probable_prime, rational_exponents
 
 INFINITE_PLACE = "infinity"
 
@@ -63,18 +62,21 @@ def kronecker_symbol(a: int, n: int) -> int:
     return 0 if j == 0 else result * j
 
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(_Value):
     """The extension Q(sqrt(d)) for a squarefree integer d, degree 2.
 
     As G/H: N = |disc| for the field discriminant disc (d or 4d), and H is
     the kernel of the Kronecker character (disc|.).  primes holds the primes
     dividing d, ascending; with 2 they cover N.  The squarefree check factors
-    d once and the status reuses it.
+    d once and the status reuses it; primes is not compared.
     """
 
-    d: int
-    primes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("d", "primes")
+    _fields = ("d",)
+
+    def __init__(self, d: int):
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.d, int):
@@ -160,8 +162,7 @@ def _unit_generators(n: int, exps: dict[int, int]) -> list[tuple[int, int, tuple
     return gens
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(_Value):
     """A cyclic subfield of Q(zeta_N): the fixed field of a subgroup H.
 
     H is a subgroup of G = (Z/N)* with cyclic quotient; the field degree is
@@ -170,13 +171,16 @@ class Cyclotomic:
     the lcm of the orders of the cosets g_i H, its exponent, is |G| / |H|.
     That takes a few modular powers per generator and yields sigma, a residue
     whose coset generates G/H.  primes holds the primes of N, factored once.
+    Only conductor and subgroup are compared.
     """
 
-    conductor: int
-    subgroup: tuple[int, ...]
-    degree: int = field(init=False, compare=False, repr=False)
-    primes: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    sigma: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("conductor", "subgroup", "degree", "primes", "sigma")
+    _fields = ("conductor", "subgroup")
+
+    def __init__(self, conductor: int, subgroup: tuple[int, ...]):
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "subgroup", subgroup)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.conductor
@@ -333,8 +337,7 @@ def quaternion_is_split(a, b) -> bool:
     return quaternion_witness(a, b) is None
 
 
-@dataclass(frozen=True)
-class CyclicAlgebraClass:
+class CyclicAlgebraClass(_Value):
     """A cyclic algebra (L/Q, sigma, b) presented by descriptor and scalar.
 
     b_raw is the scalar produced by the reduction pipeline; b_normalized is
@@ -343,29 +346,33 @@ class CyclicAlgebraClass:
 
     primes holds the primes dividing b_raw, ascending; the local symbols
     reuse them.  A caller that has factored b_raw passes them, and they are
-    checked by division; otherwise b_raw is factored here.
+    checked by division; otherwise b_raw is factored here.  primes is not
+    compared.
     """
 
-    m: int
-    ext: Quadratic | Cyclotomic
-    b_raw: Fraction
-    b_normalized: Fraction
-    primes: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("m", "ext", "b_raw", "b_normalized", "primes")
+    _fields = __slots__[:4]
 
-    def __post_init__(self):
-        object.__setattr__(self, "b_raw", Fraction(self.b_raw))
-        object.__setattr__(self, "b_normalized", Fraction(self.b_normalized))
-        if self.b_raw == 0:
+    def __init__(
+        self,
+        m: int,
+        ext: Quadratic | Cyclotomic,
+        b_raw: Fraction,
+        b_normalized: Fraction,
+        primes: tuple[int, ...] | None = None,
+    ):
+        b_raw, b_normalized = Fraction(b_raw), Fraction(b_normalized)
+        if b_raw == 0:
             raise ValueError("the algebra scalar must be nonzero")
-        if self.m != self.ext.degree:
-            raise ValueError(f"m = {self.m} does not match extension degree {self.ext.degree}")
-        if not is_mth_power(self.b_raw / self.b_normalized, self.m):
+        if m != ext.degree:
+            raise ValueError(f"m = {m} does not match extension degree {ext.degree}")
+        if not is_mth_power(b_raw / b_normalized, m):
             raise ValueError("b_raw / b_normalized is not an m-th power")
-        if self.primes is None:
-            primes = tuple(sorted(rational_exponents(self.b_raw)))
+        if primes is None:
+            primes = tuple(sorted(rational_exponents(b_raw)))
         else:
-            primes = tuple(sorted(set(self.primes)))
-            rest = abs(self.b_raw.numerator) * self.b_raw.denominator
+            primes = tuple(sorted(set(primes)))
+            rest = abs(b_raw.numerator) * b_raw.denominator
             for p in primes:
                 if p < 2:
                     raise ValueError(f"{p} is not a prime")
@@ -373,7 +380,7 @@ class CyclicAlgebraClass:
                     rest //= p
             if rest != 1:
                 raise ValueError("primes do not cover the numerator and denominator of b_raw")
-        object.__setattr__(self, "primes", primes)
+        self._set(m, ext, b_raw, b_normalized, primes)
 
 
 def class_places(ext, b_primes) -> list:
@@ -415,22 +422,21 @@ TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
 
 
-@dataclass(frozen=True)
-class ClassStatus:
+class ClassStatus(_Value):
     """Decision of a class: split, or nonsplit with a witness prime.
 
     Every class over Q is decided by its local invariants; the witness is a
     finite prime where the local invariant does not vanish.
     """
 
-    kind: str
-    witness: int | None = None
+    __slots__ = _fields = ("kind", "witness")
 
-    def __post_init__(self):
-        if self.kind not in (TRIVIAL, NONTRIVIAL):
-            raise ValueError(f"unknown status kind {self.kind!r}")
-        if (self.witness is not None) != (self.kind == NONTRIVIAL):
+    def __init__(self, kind: str, witness: int | None = None):
+        if kind not in (TRIVIAL, NONTRIVIAL):
+            raise ValueError(f"unknown status kind {kind!r}")
+        if (witness is not None) != (kind == NONTRIVIAL):
             raise ValueError("a witness accompanies exactly the nontrivial status")
+        self._set(kind, witness)
 
     @classmethod
     def trivial(cls) -> "ClassStatus":
@@ -528,18 +534,22 @@ def quaternion_group_invariants(algs) -> tuple[int, ...]:
     return _span_invariants([local_invariants(alg, places) for alg in algs], ext.degree)
 
 
-@dataclass(frozen=True)
-class BrauerEntry:
+class BrauerEntry(_Value):
     """One generator's image: the point, its order, the class, the verdict."""
 
-    point: CurvePoint
-    order: int | None
-    algebra: CyclicAlgebraClass
-    status: ClassStatus
+    __slots__ = _fields = ("point", "order", "algebra", "status")
+
+    def __init__(
+        self,
+        point: CurvePoint,
+        order: int | None,
+        algebra: CyclicAlgebraClass,
+        status: ClassStatus,
+    ):
+        self._set(point, order, algebra, status)
 
 
-@dataclass(frozen=True)
-class BrauerPresentation:
+class BrauerPresentation(_Value):
     """Generators of the relative Brauer group with per-class decisions.
 
     group_invariants is the exact abelian structure of the subgroup of
@@ -547,6 +557,12 @@ class BrauerPresentation:
     order_bound = m.
     """
 
-    entries: tuple[BrauerEntry, ...]
-    group_invariants: tuple[int, ...]
-    order_bound: int
+    __slots__ = _fields = ("entries", "group_invariants", "order_bound")
+
+    def __init__(
+        self,
+        entries: tuple[BrauerEntry, ...],
+        group_invariants: tuple[int, ...],
+        order_bound: int,
+    ):
+        self._set(entries, group_invariants, order_bound)

@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -27,7 +26,7 @@ from .curve import (
     WeierstrassCurve,
     equation_text,
 )
-from .exact import FactoringLimitExceeded
+from .exact import FactoringLimitExceeded, _Value
 from .torsion import torsion_subgroup
 
 RANK_WARNING = (
@@ -147,19 +146,24 @@ def parse_extension(text: str):
     raise ParseError(f"unknown extension kind {head!r}; expected 'quad' or 'cyclo'")
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(_Value):
     """A fully parsed invocation, ready to run."""
 
-    command: str
-    curve: WeierstrassCurve
-    output: str = "text"
-    t: CurvePoint | None = None
-    m: int | None = None
-    p: CurvePoint | None = None
-    ext: Quadratic | Cyclotomic | None = None
-    gens_auto: bool = True
-    gens: tuple[CurvePoint, ...] | None = None
+    __slots__ = _fields = ("command", "curve", "output", "t", "m", "p", "ext", "gens_auto", "gens")
+
+    def __init__(
+        self,
+        command: str,
+        curve: WeierstrassCurve,
+        output: str = "text",
+        t: CurvePoint | None = None,
+        m: int | None = None,
+        p: CurvePoint | None = None,
+        ext: Quadratic | Cyclotomic | None = None,
+        gens_auto: bool = True,
+        gens: tuple[CurvePoint, ...] | None = None,
+    ):
+        self._set(command, curve, output, t, m, p, ext, gens_auto, gens)
 
 
 def _rat_str(x: Fraction) -> str:

@@ -16,7 +16,6 @@ cyclic_reduce build and reduce the full table and remain as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .brauer import (
@@ -27,7 +26,7 @@ from .brauer import (
     quaternion_group_invariants,
 )
 from .curve import INFINITY, CurvePoint, WeierstrassCurve
-from .exact import Poly, mth_power_free_part, rational_exponents
+from .exact import Poly, _Value, mth_power_free_part, rational_exponents
 from .funcfield import EllFn
 
 
@@ -83,48 +82,44 @@ def cocycle_function(curve: WeierstrassCurve, shift: CurvePoint, p: CurvePoint) 
     return (numer / denom).monic()
 
 
-@dataclass(frozen=True)
-class RationalCocycle:
+class RationalCocycle(_Value):
     """The twisting data: a cyclic group of order m acting through the
     m-torsion point t, as the homomorphism i -> [i]t into E(Q)."""
 
-    curve: WeierstrassCurve
-    m: int
-    t: CurvePoint
+    __slots__ = _fields = ("curve", "m", "t")
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+    def __init__(self, curve: WeierstrassCurve, m: int, t: CurvePoint):
+        if not isinstance(m, int) or m < 1:
             raise ValueError("the cyclic order m must be a positive integer")
-        self.curve._require(self.t)
-        if not self.curve.multiply(self.m, self.t).is_infinity:
-            raise ValueError(f"[{self.m}]t is not the identity; t must be m-torsion")
+        curve._require(t)
+        if not curve.multiply(m, t).is_infinity:
+            raise ValueError(f"[{m}]t is not the identity; t must be m-torsion")
+        self._set(curve, m, t)
 
     def value(self, i: int) -> CurvePoint:
         """The point [i]t attached to the i-th group element."""
         return self.curve.multiply(i % self.m, self.t)
 
 
-@dataclass(frozen=True)
-class TwoCocycle:
+class TwoCocycle(_Value):
     """An m-by-m table of nonzero rational cocycle values c(i, j)."""
 
-    m: int
-    values: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("m", "values")
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+    def __init__(self, m: int, values: tuple[tuple[Fraction, ...], ...]):
+        if not isinstance(m, int) or m < 1:
             raise ValueError("the cyclic order m must be a positive integer")
-        if len(self.values) != self.m:
-            raise ValueError(f"expected {self.m} rows, got {len(self.values)}")
+        if len(values) != m:
+            raise ValueError(f"expected {m} rows, got {len(values)}")
         rows = []
-        for row in self.values:
-            if len(row) != self.m:
-                raise ValueError(f"expected {self.m} columns, got {len(row)}")
+        for row in values:
+            if len(row) != m:
+                raise ValueError(f"expected {m} columns, got {len(row)}")
             entries = tuple(Fraction(v) for v in row)
             if any(v == 0 for v in entries):
                 raise ValueError("cocycle values must be nonzero")
             rows.append(entries)
-        object.__setattr__(self, "values", tuple(rows))
+        self._set(m, tuple(rows))
 
     def value(self, i: int, j: int) -> Fraction:
         return self.values[i % self.m][j % self.m]

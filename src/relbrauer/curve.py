@@ -7,11 +7,10 @@ variables down to a short integral model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .exact import factor
+from .exact import _Value, factor
 
 
 class SingularCurve(Exception):
@@ -22,19 +21,17 @@ class PointNotOnCurve(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(_Value):
     """A rational point: affine coordinates, or the point at infinity (None, None)."""
 
-    x: Fraction | None = None
-    y: Fraction | None = None
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: Fraction | None = None, y: Fraction | None = None):
+        if (x is None) != (y is None):
             raise ValueError("affine points need both coordinates")
-        if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+        if x is not None:
+            x, y = Fraction(x), Fraction(y)
+        self._set(x, y)
 
     @staticmethod
     def affine(x, y) -> "CurvePoint":
@@ -73,29 +70,21 @@ def equation_text(a1: str, a2: str, a3: str, a4: str, a6: str) -> str:
     return f"{lhs} = {side('x^3', [(a2, 'x^2'), (a4, 'x'), (a6, '')])}"
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(_Value):
     """A Weierstrass model over Q.
 
     _scaled holds (L, L*a1, L*a2, L*a3, L*a4, L*a6) as integers, with L the
-    least common denominator of the coefficients, for is_on_curve.
+    least common denominator of the coefficients, for is_on_curve; it is
+    not compared.
     """
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-    _scaled: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_scaled")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        coeffs = (self.a1, self.a2, self.a3, self.a4, self.a6)
+    def __init__(self, a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fraction):
+        coeffs = tuple(map(Fraction, (a1, a2, a3, a4, a6)))
         scale = lcm(*(a.denominator for a in coeffs))
-        object.__setattr__(
-            self, "_scaled", (scale, *(a.numerator * (scale // a.denominator) for a in coeffs))
-        )
+        self._set(*coeffs, (scale, *(a.numerator * (scale // a.denominator) for a in coeffs)))
         if self.discriminant() == 0:
             raise SingularCurve(f"discriminant vanishes for {self.equation()}")
 
@@ -185,8 +174,7 @@ class WeierstrassCurve:
         return None
 
 
-@dataclass(frozen=True)
-class ModelMap:
+class ModelMap(_Value):
     """Admissible change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
     The substitution expresses source coordinates (x, y) through target
@@ -194,16 +182,13 @@ class ModelMap:
     model, pull_point carries them back.
     """
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    __slots__ = _fields = ("u", "r", "s", "t")
 
-    def __post_init__(self):
-        for name in ("u", "r", "s", "t"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.u == 0:
+    def __init__(self, u: Fraction, r: Fraction, s: Fraction, t: Fraction):
+        u, r, s, t = map(Fraction, (u, r, s, t))
+        if u == 0:
             raise ValueError("scaling factor u must be nonzero")
+        self._set(u, r, s, t)
 
     def push_point(self, p: CurvePoint) -> CurvePoint:
         if p.is_infinity:

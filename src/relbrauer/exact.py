@@ -9,6 +9,9 @@ zero), so no wrapper type is introduced.  Poly takes and returns Fractions
 but computes fraction-free: integer numerators over one common denominator,
 with division by pseudo-division over Z (Knuth, TAOCP vol. 2, 4.6.1), so
 its inner loops make no Fraction.
+
+_Value, the base of the package's immutable value classes, lives here
+because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 Rat = Fraction
 
@@ -26,6 +30,60 @@ _SMALL_PRIME_BOUND = 10**3
 
 # Deterministic Miller-Rabin witness set below ~3.3e24; probabilistic above.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its __slots__, lists the compared ones in _fields,
+    and fills every slot in __init__, through _set or object.__setattr__.
+    Two values are equal when they share a class and their compared
+    fields; the hash is that of the tuple of those fields, and the repr
+    reads Name(field=value, ...).  Slots outside _fields take no part in
+    any of the three.  These are the methods @dataclass(frozen=True)
+    generated, written once here so that importing the package generates
+    no code.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        # _values(obj) is the tuple of compared fields, also for one field
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+        # every slot along the MRO, so a subclass with __slots__ = () is filled too
+        cls._slots = tuple(
+            name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ())
+        )
+
+    def _set(self, *values) -> None:
+        """Fill the slots with values, in declaration order."""
+        for name, value in zip(self._slots, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __setstate__(self, state):
+        # copy and pickle hand back (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class FactoringLimitExceeded(Exception):

@@ -299,7 +299,8 @@ class EllFn:
         The coordinates of P - q come from the chord through (x, y) and -q.
         Clearing the chord slope's denominator u = x - x0 turns them into
         numerator pairs over powers of u, so the whole substitution runs on
-        raw polynomials and canonicalizes once at the end.
+        raw polynomials and canonicalizes once at the end.  The powers of u
+        come from one table, each a product of the one below it with u.
         """
         c = self.curve
         c._require(q)
@@ -310,15 +311,22 @@ class EllFn:
         s = _rhs_poly(c)
         h = _ycoef_poly(c)
         u = Poly((-x0, 1))
+        powers = [Poly((1,)), u]
+
+        def u_pow(e):
+            while len(powers) <= e:
+                powers.append(powers[-1] * u)
+            return powers[e]
+
         # x(P - q) = (px + qx*y) / u^2; the y-coefficient collapses to a
         # constant because the a1*x terms cancel.
-        px = s + Poly((y0 * y0,)) - (c.a1 * y0) * u - Poly((c.a2 + x0, 1)) * u * u
+        px = s + Poly((y0 * y0,)) - (c.a1 * y0) * u - Poly((c.a2 + x0, 1)) * u_pow(2)
         qx = Poly((-(2 * y0 + c.a1 * x0 + c.a3),))
         # y(P - q) = (py + qy*y) / u^3, from yr = -(lam+a1)*xr - (y-lam*x) - a3.
         w = c.a1 * u - Poly((y0,))
-        xpoly = Poly((0, 1))
-        py = -(w * px) - qx * s - c.a3 * u ** 3 - y0 * xpoly * u * u
-        qy = -(w * qx + px - qx * h) - u ** 3 + xpoly * u * u
+        x_u2 = Poly((0, 1)) * u_pow(2)
+        py = -(w * px) - qx * s - c.a3 * u_pow(3) - y0 * x_u2
+        qy = -(w * qx + px - qx * h) - u_pow(3) + x_u2
 
         def pair_mul(p1, q1, p2, q2):
             return p1 * p2 + q1 * q2 * s, p1 * q2 + p2 * q1 - q1 * q2 * h
@@ -332,7 +340,7 @@ class EllFn:
             for coeff in reversed(coeffs[:-1]):
                 accp, accq = pair_mul(accp, accq, px, qx)
                 e += 2
-                accp = accp + coeff * u ** e
+                accp = accp + coeff * u_pow(e)
             return accp, accq, e
 
         nap, naq, ea = at_shifted_x(self.a)
@@ -341,8 +349,9 @@ class EllFn:
             nbp, nbq = pair_mul(nbp, nbq, py, qy)
             eb += 3
         en = max(ea, eb)
-        nump = nap * u ** (en - ea) + nbp * u ** (en - eb)
-        numq = naq * u ** (en - ea) + nbq * u ** (en - eb)
+        ua, ub = u_pow(en - ea), u_pow(en - eb)
+        nump = nap * ua + nbp * ub
+        numq = naq * ua + nbq * ub
 
         ndp, ndq, ed = at_shifted_x(self.d)
         # divide by (ndp + ndq*y)/u^ed via the conjugate, whose norm is a
@@ -350,6 +359,7 @@ class EllFn:
         nump, numq = pair_mul(nump, numq, ndp - ndq * h, -ndq)
         norm = ndp * ndp - ndp * ndq * h - ndq * ndq * s
         if ed >= en:
-            return EllFn(c, nump * u ** (ed - en), numq * u ** (ed - en), norm)
-        return EllFn(c, nump, numq, norm * u ** (en - ed))
+            ud = u_pow(ed - en)
+            return EllFn(c, nump * ud, numq * ud, norm)
+        return EllFn(c, nump, numq, norm * u_pow(en - ed))
 

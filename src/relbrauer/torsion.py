@@ -8,21 +8,25 @@ mapped back to the original model and assembled into a group presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .curve import INFINITY, ORDER_BOUND, CurvePoint, WeierstrassCurve, to_short_integral
-from .exact import divisors, factor
+from .exact import _Value, divisors, factor
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
+class TorsionGroup(_Value):
     """invariants: () trivial, (n,) cyclic, or (2, 2n); generators carry orders."""
 
-    invariants: tuple[int, ...]
-    generators: tuple[tuple[CurvePoint, int], ...]
-    elements: tuple[CurvePoint, ...]
+    __slots__ = _fields = ("invariants", "generators", "elements")
+
+    def __init__(
+        self,
+        invariants: tuple[int, ...],
+        generators: tuple[tuple[CurvePoint, int], ...],
+        elements: tuple[CurvePoint, ...],
+    ):
+        self._set(invariants, generators, elements)
 
     @property
     def order(self) -> int:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import relbrauer
 from relbrauer import CurvePoint, INFINITY, PointNotOnCurve, WeierstrassCurve
 from relbrauer.cli import (
     JobSpec,
@@ -309,3 +314,21 @@ def test_parser_reused_after_a_bad_call_gives_fresh_output(capsys):
     capsys.readouterr()
     assert main(PAIRING_ARGV) == 0
     assert capsys.readouterr().out == fresh
+
+
+def test_import_loads_no_dataclasses_and_defers_no_module():
+    # a CLI run pays for its imports; dataclasses alone pulled in inspect,
+    # ast, dis and tokenize.  Every package module still loads up front.
+    src = str(Path(relbrauer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, relbrauer.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout.split()
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+    assert [name for name in loaded if name.split(".")[0] == "relbrauer"] == [
+        "relbrauer", "relbrauer.brauer", "relbrauer.cli", "relbrauer.cocycle",
+        "relbrauer.curve", "relbrauer.exact", "relbrauer.funcfield", "relbrauer.torsion",
+    ]

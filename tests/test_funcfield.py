@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relbrauer import CurvePoint, INFINITY, WeierstrassCurve
+from relbrauer import CurvePoint, INFINITY, RationalCocycle, WeierstrassCurve, pairing_scalar
 from relbrauer.exact import Poly
 from relbrauer.funcfield import (
     INDETERMINATE,
@@ -182,6 +182,22 @@ def test_translate_is_a_field_homomorphism(order5_curve, order5_gen, xy):
     q = order5_curve.multiply(2, order5_gen)
     assert (f * g).translate(q) == f.translate(q) * g.translate(q)
     assert (f + g).translate(q) == f.translate(q) + g.translate(q)
+
+
+@pytest.mark.parametrize(
+    "p, b",
+    [((21, 79), F(1, 466560000)), ((-9, 49), F(1, 24603750)), ((9, 31), F(1, 114791256))],
+)
+def test_translate_takes_powers_of_u_from_its_table(monkeypatch, p, b):
+    # 90c3 with t of order 12: every power of u comes from the table, and b
+    # is the value the pairing gave when translate raised u to each power
+    def no_pow(self, n):
+        raise AssertionError("Poly.__pow__ called")
+
+    monkeypatch.setattr(Poly, "__pow__", no_pow)
+    curve = WeierstrassCurve(1, -1, 1, -122, 1721)
+    cocycle = RationalCocycle(curve, 12, CurvePoint(-9, 49))
+    assert pairing_scalar(cocycle, CurvePoint(*p)) == b
 
 
 def test_str(order5_curve, xy):
