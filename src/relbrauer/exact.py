@@ -467,14 +467,19 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly((1,))
+        if n == 0:
+            return Poly((1,))
+        # square-and-multiply from the low bit, without a product by 1 and
+        # without squaring past the top bit
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other):
         """(quotient, remainder) by pseudo-division over Z.

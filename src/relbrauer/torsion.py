@@ -1,15 +1,18 @@
 """Rational torsion subgroups.
 
-Candidates come from the integrality theorem on a short integral model:
-a torsion point there has integer coordinates with y = 0 or y^2 dividing the
-discriminant.  Survivors of an order check (<= 12, Mazur's bound) are
+Candidates come from the integrality theorem (Nagell-Lutz) on a short
+integral model: a torsion point there has integer coordinates with y = 0 or
+y^2 dividing the discriminant.  A y whose square is no value of the cubic
+modulo some small prime is dropped before a6 - y^2 is factored.  Every
+multiple of a torsion point is integral too, so a candidate's multiples are
+added only until one has a denominator or the order exceeds 12 (Mazur's
+bound).  The points found, with the orders read off their multiples, are
 mapped back to the original model and assembled into a group presentation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .curve import INFINITY, ORDER_BOUND, CurvePoint, WeierstrassCurve, to_short_integral
 from .exact import _Value, divisors, factor
@@ -73,24 +76,65 @@ def _square_divisor_roots(disc: int) -> set[int]:
     return ys
 
 
+# moduli of the sieve on y; on the curves in the tests, 2 and 3 drop no y
+# that these keep
+_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def _sieve(ys, a4: int, a6: int) -> list[int]:
+    """The y in ys such that y^2 = x^3 + a4*x + a6 has a root x modulo each
+    sieve prime; the others cannot lie on an integral point."""
+    ys = list(ys)
+    for q in _SIEVE_PRIMES:
+        values = {(x * x * x + a4 * x + a6) % q for x in range(q)}
+        allowed = {y for y in range(q) if y * y % q in values}
+        if len(allowed) < q:
+            ys = [y for y in ys if y % q in allowed]
+            if not ys:
+                break
+    return ys
+
+
+def _multiples_if_torsion(short: WeierstrassCurve, p: CurvePoint) -> list[CurvePoint] | None:
+    """[p, 2p, ..., (n-1)p] when p has order n <= ORDER_BOUND on the short
+    integral model, else None.
+
+    Every multiple of a torsion point there is integral (Nagell-Lutz), so
+    the first multiple with a denominator proves infinite order.
+    """
+    multiples = [p]
+    q = short.add(p, p)
+    while not q.is_infinity:
+        if q.x.denominator != 1 or len(multiples) == ORDER_BOUND - 1:
+            return None
+        multiples.append(q)
+        q = short.add(q, p)
+    return multiples
+
+
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     short, phi = to_short_integral(curve)
     a4 = int(short.a4)
     a6 = int(short.a6)
     disc = short.discriminant()
     assert disc.denominator == 1
-    found: set[CurvePoint] = set()
-    for y in _square_divisor_roots(int(disc)):
+    # orders on the short model, which the isomorphism phi keeps
+    orders: dict[CurvePoint, int] = {}
+    for y in _sieve(_square_divisor_roots(int(disc)), a4, a6):
         for x in _integer_roots_depressed_cubic(a4, a6 - y * y):
             p = CurvePoint.affine(x, y)
-            if short.point_order(p, ORDER_BOUND) is not None:
-                found.add(p)
-                found.add(short.negate(p))
-    elements = [INFINITY] + sorted(
-        (phi.pull_point(p) for p in found), key=lambda p: (p.x, p.y)
-    )
-    orders = {p: curve.point_order(p, ORDER_BOUND) for p in elements}
-    return _presentation(curve, tuple(elements), orders)
+            if p in orders:
+                continue
+            multiples = _multiples_if_torsion(short, p)
+            if multiples is not None:
+                # the multiples of p include -p; kp has order n / gcd(k, n)
+                n = len(multiples) + 1
+                for k, q in enumerate(multiples, 1):
+                    orders[q] = n // gcd(k, n)
+    pulled = {phi.pull_point(p): n for p, n in orders.items()}
+    elements = (INFINITY, *sorted(pulled, key=lambda p: (p.x, p.y)))
+    pulled[INFINITY] = 1
+    return _presentation(curve, elements, pulled)
 
 
 def _generator_key(p: CurvePoint):

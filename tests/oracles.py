@@ -1,13 +1,16 @@
 """Slow reference checks that only the tests use.
 
 Each is an independent route to a fact the pipeline computes another way:
-zeros and poles of a function by evaluation, and equality of quaternion
-classes by Hilbert symbols.
+zeros and poles of a function by evaluation, equality of quaternion
+classes by Hilbert symbols, and the rational torsion subgroup by the full
+Nagell-Lutz search.
 """
 
 from fractions import Fraction
 
 from relbrauer import INDETERMINATE, POLE, DivisionByZeroFunction, quaternion_is_split
+from relbrauer.curve import INFINITY, ORDER_BOUND, CurvePoint, to_short_integral
+from relbrauer.torsion import _integer_roots_depressed_cubic, _presentation, _square_divisor_roots
 
 
 def vanishes_at(f, point) -> bool:
@@ -34,3 +37,28 @@ def quaternion_class_equal(alg1, alg2) -> bool:
         raise ValueError("classes live over different extensions")
     # quaternion classes are 2-torsion: equality iff the product splits
     return quaternion_is_split(alg1.ext.d, alg1.b_raw * alg2.b_raw)
+
+
+def torsion_subgroup_by_full_search(curve):
+    """The rational torsion subgroup without the sieve or the early exits.
+
+    On the short integral model, factor a6 - y^2 for every y with y = 0 or
+    y^2 dividing the discriminant, try every divisor as x, and keep the
+    points whose order there is at most 12; then read every order again on
+    the original model.
+    """
+    short, phi = to_short_integral(curve)
+    a4 = int(short.a4)
+    a6 = int(short.a6)
+    found = set()
+    for y in _square_divisor_roots(int(short.discriminant())):
+        for x in _integer_roots_depressed_cubic(a4, a6 - y * y):
+            p = CurvePoint.affine(x, y)
+            if short.point_order(p, ORDER_BOUND) is not None:
+                found.add(p)
+                found.add(short.negate(p))
+    elements = [INFINITY] + sorted(
+        (phi.pull_point(p) for p in found), key=lambda p: (p.x, p.y)
+    )
+    orders = {p: curve.point_order(p, ORDER_BOUND) for p in elements}
+    return _presentation(curve, tuple(elements), orders)

@@ -191,6 +191,26 @@ def test_poly_arithmetic():
     assert (x + 1) * (x - 1) == x**2 - 1
 
 
+@pytest.mark.parametrize("n,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4), (8, 3)])
+def test_poly_pow_products(monkeypatch, n, products):
+    # square-and-multiply: bit_length - 1 squarings and popcount - 1 products
+    p = Poly((F(1, 2), -3, 1))
+    expected = Poly((1,))
+    for _ in range(n):
+        expected = expected * p
+    count = 0
+    real_mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal count
+        count += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert p**n == expected
+    assert count == products
+
+
 def test_poly_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod(Poly((1, 1)), Poly())

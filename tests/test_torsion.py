@@ -1,10 +1,15 @@
 """Lutz-Nagell torsion computation against curves with known torsion."""
 
+import importlib
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import torsion_subgroup_by_full_search
 from relbrauer import INFINITY, CurvePoint, WeierstrassCurve, torsion_subgroup
+
+curve_module = importlib.import_module("relbrauer.curve")
+torsion_module = importlib.import_module("relbrauer.torsion")
 
 
 def test_cyclic_order_five(order5_curve):
@@ -92,3 +97,71 @@ def test_all_elements_are_torsion(mixed_torsion_curve):
     t = torsion_subgroup(c)
     for p in t.elements:
         assert c.multiply(t.order, p) == INFINITY
+
+
+# one curve for each of the 15 groups Mazur allows over Q
+MAZUR_CURVES = [
+    ((0, 0, 1, -1, 0), "trivial"),
+    ((1, 0, 0, -1, 0), "Z/2"),
+    ((0, 0, 1, 0, -7), "Z/3"),
+    ((0, 0, 0, 4, 0), "Z/4"),
+    ((0, -1, 1, -10, -20), "Z/5"),
+    ((1, 0, 1, 4, -6), "Z/6"),
+    ((1, -1, 1, -3, 3), "Z/7"),
+    ((1, 1, 1, 35, -28), "Z/8"),
+    ((1, -1, 1, -14, 29), "Z/9"),
+    ((1, 0, 0, -45, 81), "Z/10"),
+    ((1, -1, 1, -122, 1721), "Z/12"),
+    ((0, 0, 0, -1, 0), "Z/2 x Z/2"),
+    ((1, 1, 1, -10, -10), "Z/4 x Z/2"),
+    ((1, 0, 1, -19, 26), "Z/6 x Z/2"),
+    ((1, 0, 0, -1070, 7812), "Z/8 x Z/2"),
+]
+
+
+@pytest.mark.parametrize("coeffs,described", MAZUR_CURVES, ids=[d for _, d in MAZUR_CURVES])
+def test_mazur_groups_match_full_search(coeffs, described):
+    curve = WeierstrassCurve(*coeffs)
+    t = torsion_subgroup(curve)
+    expected = torsion_subgroup_by_full_search(curve)
+    assert (t.invariants, t.generators, t.elements) == (
+        expected.invariants,
+        expected.generators,
+        expected.elements,
+    )
+    assert t.describe() == described
+
+
+@pytest.mark.parametrize(
+    "coeffs,max_factor,max_add",
+    [
+        # the full search of oracles.py: 151 factor calls, 24 adds
+        ((0, -1, 1, -10, -20), 10, None),
+        # the full search: 730 factor calls
+        ((1, 0, 0, -1070, 7812), 20, None),
+        # the full search: 48 adds, every candidate of infinite order
+        ((0, 0, 1, -1, 0), None, 16),
+    ],
+    ids=["11a1", "210e2", "37a1"],
+)
+def test_search_work_is_bounded(monkeypatch, coeffs, max_factor, max_add):
+    counts = {"factor": 0, "add": 0}
+    real_factor = torsion_module.factor
+    real_add = WeierstrassCurve.add
+
+    def counting_factor(n, *args, **kwargs):
+        counts["factor"] += 1
+        return real_factor(n, *args, **kwargs)
+
+    def counting_add(self, p, q):
+        counts["add"] += 1
+        return real_add(self, p, q)
+
+    monkeypatch.setattr(torsion_module, "factor", counting_factor)
+    monkeypatch.setattr(curve_module, "factor", counting_factor)
+    monkeypatch.setattr(WeierstrassCurve, "add", counting_add)
+    torsion_subgroup(WeierstrassCurve(*coeffs))
+    if max_factor is not None:
+        assert counts["factor"] <= max_factor
+    if max_add is not None:
+        assert counts["add"] <= max_add
