@@ -7,11 +7,13 @@ collapses to a single scalar b; the pair (extension descriptor, b) is a
 cyclic-algebra class in the relative Brauer group of the associated
 homogeneous space.
 
-The pairing computes b directly as the norm of one function,
-b = prod_{k=0}^{m-1} (translate of f_1 by [k]t), which is what the
-2-cocycle table reduces to.  It builds the product along the binary digits
-of m, in floor(log2 m) + popcount(m) - 1 translates; two_cocycle and
-cyclic_reduce build and reduce the full table and remain as the reference.
+The pairing reads b off the points of <t>: b is the norm of one function
+f_1 = V/L, a quotient of a vertical and a line function, and equals the
+product of the leading coefficients of f_1 at O, t, ..., [m-1]t, each in a
+uniformizer normalized by the invariant differential.  Those come from
+closed forms in the coordinates, so the pairing takes m - 1 group-law adds
+and no function-field arithmetic.  two_cocycle and cyclic_reduce build and
+reduce the full table and remain as the reference.
 """
 
 from __future__ import annotations
@@ -196,40 +198,129 @@ def cyclic_reduce(tc: TwoCocycle) -> Fraction:
     return b
 
 
+def _fy(curve: WeierstrassCurve, q: CurvePoint) -> Fraction:
+    return 2 * q.y + curve.a1 * q.x + curve.a3
+
+
+def _fx(curve: WeierstrassCurve, q: CurvePoint) -> Fraction:
+    return curve.a1 * q.y - 3 * q.x * q.x - 2 * curve.a2 * q.x - curve.a4
+
+
+def _lc_vertical(curve: WeierstrassCurve, q: CurvePoint, a: Fraction) -> tuple[Fraction, int]:
+    """(lc_q, ord_q) of x - a at the affine point q."""
+    if q.x != a:
+        return q.x - a, 0
+    fy = _fy(curve, q)
+    return (fy, 1) if fy else (-_fx(curve, q), 2)
+
+
+def _lc_line(curve: WeierstrassCurve, q: CurvePoint, lam: Fraction, nu: Fraction,
+             roots: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, int]:
+    """(lc_q, ord_q) of L = y - lam*x - nu at the affine point q, where L
+    meets the curve at the x-coordinates roots."""
+    value = q.y - lam * q.x - nu
+    if value:
+        return value, 0
+    fy = _fy(curve, q)
+    if not fy:
+        return -_fx(curve, q), 1
+    lc, e = 1 / fy, 0
+    for xi in roots:
+        if xi == q.x:
+            lc, e = lc * fy, e + 1
+        else:
+            lc *= q.x - xi
+    return lc, e
+
+
 def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
-    """The scalar b of (cocycle, p), as the norm of f_1 = cocycle_function
-    at shift t: b = N_m, where N_j = prod_{k<j} (translate of f_1 by [k]t).
+    """The scalar b of (cocycle, p), read off the points of <t>.
 
-    In cyclic_reduce(two_cocycle(cocycle, p)) = prod_{i=1}^{m-1} c(i, 1),
-    with c(i, 1) = f_i * (translate of f_1 by [i]t) / f_{i+1}, the f_i
-    telescope away because f_m = f_0 = 1, so both give the same b.
+    Let F = y^2 + a1 x y + a3 y - x^3 - a2 x^2 - a4 x - a6, with
+    F_y = 2y + a1 x + a3 and F_x = a1 y - 3x^2 - 2 a2 x - a4, and let
+    omega = dx / F_y be the invariant differential.  For a function g and a
+    point Q, lc_Q(g) is the leading coefficient of g in a uniformizer whose
+    differential at Q is omega.
 
-    N_m is built along the binary digits of m, as Miller's algorithm builds
-    its products of translated line functions:
-    N_2j = N_j * (translate of N_j by [j]t) and
-    N_{j+1} = N_j * (translate of f_1 by [j]t).  Translations commute, so
-    this is the same function; it takes floor(log2 m) + popcount(m) - 1
-    translates where the table takes m^2.  The divisor of N_j is
-    ([j]t + p) + O - [j]t - p, so N_j stays as small as f_1.
+    b is the norm N_m = prod_{k<m} (translate of f_1 by [k]t), with f_1 =
+    cocycle_function at shift t: in cyclic_reduce(two_cocycle(cocycle, p))
+    = prod_{i=1}^{m-1} c(i, 1), with c(i, 1) = f_i * (translate of f_1 by
+    [i]t) / f_{i+1}, the f_i telescope away because f_m = f_0 = 1.  N_m is
+    the constant b.  Leading coefficients multiply, and translation
+    preserves omega, so b = lc_O(N_m) = prod_{k=0}^{m-1} lc_{[k]t}(f_1),
+    and the orders of f_1 at the [k]t sum to 0.
+
+    The monic f_1 is exactly V/L with V = x - x(t+p) and L = y - lam x - nu,
+    where lam is the chord or tangent slope through t and p and
+    nu = y(t) - lam x(t).  If t + p = O, then f_1 = 1/(x - x(t)); if t or
+    p is O, then f_1 = 1 and b = 1.  The closed forms, at O and at an
+    affine Q = (x0, y0):
+
+    - at O: lc_O(f_1) = -1 with order 1 (x ~ z^-2, y ~ -z^-3), or +1 with
+      order 2 for 1/(x - x(t));
+    - x - a: x0 - a if x0 != a; else F_y(Q) with order 1 if F_y(Q) != 0;
+      else -F_x(Q) with order 2;
+    - L: L(Q) if it is not 0; else -F_x(Q) with order 1 if F_y(Q) = 0;
+      else F_y(Q)^(e-1) prod_{x_i != x0} (x0 - x_i) with order e, where e
+      counts how many of x(t), x(p), x(t+p) equal x0.  This comes from
+      L * (y + lam x + nu + a1 x + a3) = prod (x - x_i) on E, whose second
+      factor is F_y(Q) at a zero Q of L.
+
+    Before the product, L is checked to meet E at t, p and -(t+p), where
+    t+p comes from add: L(t) = L(p) = 0 by the choice of lam and nu,
+    L(-(t+p)) = 0 is checked, and so is x(t) + x(p) + x(t+p) =
+    lam^2 + a1 lam - a2, the sum of the roots x_i, which makes -(t+p) the
+    third intersection.  In the vertical case p = -t is checked.  Then
+    div f_1 = (t+p) + (O) - (t) - (p), and with [m]t = O, which
+    RationalCocycle checks, N_m is constant.  After the product the orders
+    must sum to 0.  Either failure raises NonConstantCocycleValue.
     """
     curve = cocycle.curve
     curve._require(p)
     t = cocycle.t
-    f1 = cocycle_function(curve, t, p)
-    digits = bin(cocycle.m)[3:]  # after the leading 1, which gives N_1 = f_1
-    norm, shift = f1, t  # N_j and [j]t
-    for k, digit in enumerate(digits):
-        more = k + 1 < len(digits)
-        norm = norm * norm.translate(shift)
-        if digit == "1" or more:
-            shift = curve.add(shift, shift)
-        if digit == "1":
-            norm = norm * f1.translate(shift)
-            if more:
-                shift = curve.add(shift, t)
-    b = norm.is_constant()
-    if b is None:
-        raise NonConstantCocycleValue("the norm of the pairing function is not a constant")
+    if t.is_infinity or p.is_infinity:
+        return Fraction(1)
+    a1, a3 = curve.a1, curve.a3
+    total = curve.add(t, p)
+    vertical = total.is_infinity
+    if vertical:
+        if p.x != t.x or p.y + t.y + a1 * t.x + a3 != 0:
+            raise NonConstantCocycleValue("t + p = O but p is not -t")
+        at_infinity = (Fraction(1), 2)
+    else:
+        lam = curve.chord_slope(t, p)
+        x3 = total.x
+        # -(t+p) = (x3, -y(t+p) - a1 x3 - a3) lies on L, and x3 is the root
+        # of prod (x - x_i) that x(t) and x(p) leave
+        if (
+            lam is None
+            or -total.y - a1 * x3 - a3 != t.y + lam * (x3 - t.x)
+            or t.x + p.x + x3 != lam * lam + a1 * lam - curve.a2
+        ):
+            raise NonConstantCocycleValue("the pairing line does not meet E at t, p, -(t+p)")
+        nu = t.y - lam * t.x
+        roots = (t.x, p.x, x3)
+        at_infinity = (Fraction(-1), 1)
+    b, order = at_infinity
+    q = t
+    for k in range(1, cocycle.m):
+        if k > 1:
+            q = curve.add(q, t)
+        if q.is_infinity:
+            c, e = at_infinity
+            b *= c
+            order += e
+        elif vertical:
+            c, e = _lc_vertical(curve, q, t.x)
+            b /= c
+            order -= e
+        else:
+            c, e = _lc_vertical(curve, q, x3)
+            d, f = _lc_line(curve, q, lam, nu, roots)
+            b *= c / d
+            order += e - f
+    if order:
+        raise NonConstantCocycleValue("the orders of the pairing function on <t> do not sum to 0")
     return b
 
 

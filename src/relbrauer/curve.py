@@ -129,6 +129,19 @@ class WeierstrassCurve(_Value):
             return INFINITY
         return CurvePoint(p.x, -p.y - self.a1 * p.x - self.a3)
 
+    def chord_slope(self, p: CurvePoint, q: CurvePoint) -> Fraction | None:
+        """Slope of the line through the affine points p and q of the curve,
+        the tangent when p = q, or None when that line is vertical (q = -p)."""
+        x1, y1 = p.x, p.y
+        x2, y2 = q.x, q.y
+        if x1 != x2:
+            return (y2 - y1) / (x2 - x1)
+        if y1 + y2 + self.a1 * x2 + self.a3 == 0:
+            return None
+        # same x and not -p, so q = p
+        denom = 2 * y1 + self.a1 * x1 + self.a3
+        return (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) / denom
+
     def add(self, p: CurvePoint, q: CurvePoint) -> CurvePoint:
         self._require(p)
         self._require(q)
@@ -136,30 +149,33 @@ class WeierstrassCurve(_Value):
             return q
         if q.is_infinity:
             return p
-        x1, y1 = p.x, p.y
-        x2, y2 = q.x, q.y
-        if x1 == x2 and y1 + y2 + self.a1 * x2 + self.a3 == 0:
+        lam = self.chord_slope(p, q)
+        if lam is None:
             return INFINITY
-        if p == q:
-            denom = 2 * y1 + self.a1 * x1 + self.a3
-            lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) / denom
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        nu = y1 - lam * x1
-        x3 = lam * lam + self.a1 * lam - self.a2 - x1 - x2
+        x1 = p.x
+        nu = p.y - lam * x1
+        x3 = lam * lam + self.a1 * lam - self.a2 - x1 - q.x
         y3 = -(lam + self.a1) * x3 - nu - self.a3
         return CurvePoint(x3, y3)
 
     def multiply(self, n: int, p: CurvePoint) -> CurvePoint:
+        """[n]p, by doubling from the lowest set bit of n: floor(log2 n) +
+        popcount(n) - 1 adds for n >= 1."""
         self._require(p)
         if n < 0:
             return self.multiply(-n, self.negate(p))
-        result = INFINITY
+        if n == 0:
+            return INFINITY
         addend = p
+        while not n & 1:
+            addend = self.add(addend, addend)
+            n >>= 1
+        result = addend
+        n >>= 1
         while n:
+            addend = self.add(addend, addend)
             if n & 1:
                 result = self.add(result, addend)
-            addend = self.add(addend, addend)
             n >>= 1
         return result
 
@@ -170,7 +186,8 @@ class WeierstrassCurve(_Value):
         for n in range(1, bound + 1):
             if q.is_infinity:
                 return n
-            q = self.add(q, p)
+            if n < bound:
+                q = self.add(q, p)
         return None
 
 

@@ -159,13 +159,10 @@ def _presentation(
         return TorsionGroup((n,), ((g1, n),), elements)
     if n != 2 * max_order or max_order not in (2, 4, 6, 8):
         raise ArithmeticError(f"torsion of order {n} with exponent {max_order} is impossible over Q")
-    cyclic_part = set()
-    q = INFINITY
-    for _ in range(max_order):
-        cyclic_part.add(q)
-        q = curve.add(q, g1)
+    # the only point of order 2 in <g1>
+    half = curve.multiply(max_order // 2, g1)
     complement = sorted(
-        (p for p in elements if orders[p] == 2 and p not in cyclic_part),
+        (p for p in elements if orders[p] == 2 and p != half),
         key=_generator_key,
     )
     g2 = complement[0]

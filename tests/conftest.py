@@ -38,3 +38,17 @@ def full_two_torsion_curve():
 def rank_one_curve():
     # y^2 = x^3 - 2x + 2 has trivial torsion and the non-torsion point (1, 1)
     return WeierstrassCurve(0, 0, 0, -2, 2)
+
+
+@pytest.fixture
+def add_calls(monkeypatch):
+    """The argument pairs of every WeierstrassCurve.add call made from here on."""
+    calls = []
+    add = WeierstrassCurve.add
+
+    def counted_add(self, p, q):
+        calls.append((p, q))
+        return add(self, p, q)
+
+    monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
+    return calls

@@ -2,13 +2,20 @@
 
 Each is an independent route to a fact the pipeline computes another way:
 zeros and poles of a function by evaluation, equality of quaternion
-classes by Hilbert symbols, and the rational torsion subgroup by the full
-Nagell-Lutz search.
+classes by Hilbert symbols, the pairing scalar as the norm of a function,
+and the rational torsion subgroup by the full Nagell-Lutz search.
 """
 
 from fractions import Fraction
 
-from relbrauer import INDETERMINATE, POLE, DivisionByZeroFunction, quaternion_is_split
+from relbrauer import (
+    INDETERMINATE,
+    POLE,
+    DivisionByZeroFunction,
+    NonConstantCocycleValue,
+    cocycle_function,
+    quaternion_is_split,
+)
 from relbrauer.curve import INFINITY, ORDER_BOUND, CurvePoint, to_short_integral
 from relbrauer.torsion import _integer_roots_depressed_cubic, _presentation, _square_divisor_roots
 
@@ -37,6 +44,39 @@ def quaternion_class_equal(alg1, alg2) -> bool:
         raise ValueError("classes live over different extensions")
     # quaternion classes are 2-torsion: equality iff the product splits
     return quaternion_is_split(alg1.ext.d, alg1.b_raw * alg2.b_raw)
+
+
+def pairing_scalar_by_chain(cocycle, p):
+    """The scalar b of (cocycle, p) as the norm of f_1 = cocycle_function at
+    shift t, built as a function: b = N_m, where
+    N_j = prod_{k<j} (translate of f_1 by [k]t).
+
+    N_m is built along the binary digits of m, as Miller's algorithm builds
+    its products of translated line functions:
+    N_2j = N_j * (translate of N_j by [j]t) and
+    N_{j+1} = N_j * (translate of f_1 by [j]t), in
+    floor(log2 m) + popcount(m) - 1 translates.  The norm must come out a
+    constant function.
+    """
+    curve = cocycle.curve
+    curve._require(p)
+    t = cocycle.t
+    f1 = cocycle_function(curve, t, p)
+    digits = bin(cocycle.m)[3:]  # after the leading 1, which gives N_1 = f_1
+    norm, shift = f1, t  # N_j and [j]t
+    for k, digit in enumerate(digits):
+        more = k + 1 < len(digits)
+        norm = norm * norm.translate(shift)
+        if digit == "1" or more:
+            shift = curve.add(shift, shift)
+        if digit == "1":
+            norm = norm * f1.translate(shift)
+            if more:
+                shift = curve.add(shift, t)
+    b = norm.is_constant()
+    if b is None:
+        raise NonConstantCocycleValue("the norm of the pairing function is not a constant")
+    return b
 
 
 def torsion_subgroup_by_full_search(curve):

@@ -260,20 +260,24 @@ def test_exit_code_factoring_limit(monkeypatch, capsys):
 
 def test_exit_code_nonconstant_cocycle(monkeypatch, capsys):
     import relbrauer.cocycle as cocycle_mod
-    from relbrauer.funcfield import EllFn
 
-    # a pairing function with the wrong divisor leaves a non-constant norm,
-    # which the pairing's own constancy check must refuse with exit code 3
-    def wrong_function(curve, shift, p):
-        return EllFn.coordinate_x(curve)
+    # inside the pairing, add hands back -(t + p): the pairing line misses
+    # that point, so the pairing function would have the wrong divisor, and
+    # the pairing's own line check must refuse it with exit code 3
+    add, pairing_scalar = WeierstrassCurve.add, cocycle_mod.pairing_scalar
 
-    monkeypatch.setattr(cocycle_mod, "cocycle_function", wrong_function)
+    def pairing_with_wrong_sum(cocycle, p):
+        with monkeypatch.context() as patch:
+            patch.setattr(WeierstrassCurve, "add", lambda self, a, b: self.negate(add(self, a, b)))
+            return pairing_scalar(cocycle, p)
+
+    monkeypatch.setattr(cocycle_mod, "pairing_scalar", pairing_with_wrong_sum)
     code = main(
         ["pairing", "--curve", "0,-1,1,-10,-20", "--t", "5,5", "--m", "5",
          "--p", "5,5", "--ext", "cyclo:11:10"]
     )
     assert code == 3
-    capsys.readouterr()
+    assert "does not meet" in capsys.readouterr().err
 
 
 def test_render_text_round_trip(order5_curve):
@@ -332,3 +336,32 @@ def test_import_loads_no_dataclasses_and_defers_no_module():
         "relbrauer", "relbrauer.brauer", "relbrauer.cli", "relbrauer.cocycle",
         "relbrauer.curve", "relbrauer.exact", "relbrauer.funcfield", "relbrauer.torsion",
     ]
+
+
+def _readme_examples():
+    # each fenced block of README.md that starts with "$ relbrauer ...": the
+    # argv, and the lines below it as stderr followed by stdout
+    import shlex
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in text.split("```")[1::2]:
+        lines = block.strip("\n").split("\n")
+        if lines[0].startswith("$ relbrauer "):
+            argv = shlex.split(lines[0][2:])[1:]
+            example_id = f"{argv[0]}-{len(examples) + 1}"
+            examples.append(pytest.param(argv, "\n".join(lines[1:]) + "\n", id=example_id))
+    return examples
+
+
+@pytest.mark.parametrize("argv,shown", _readme_examples())
+def test_readme_examples_are_byte_exact(capsys, argv, shown):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err + captured.out == shown
+
+
+def test_readme_examples_cover_every_command():
+    commands = [param.values[0][0] for param in _readme_examples()]
+    assert sorted(set(commands)) == ["pairing", "relbr", "torsion"]
+    assert any("json" in param.values[0] for param in _readme_examples())

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +27,8 @@ from relbrauer import (
 )
 from relbrauer.funcfield import EllFn
 
-from oracles import has_pole_at, vanishes_at
+import oracles
+from oracles import has_pole_at, pairing_scalar_by_chain, vanishes_at
 
 
 @pytest.fixture
@@ -322,6 +325,7 @@ def test_pairing_scalar_when_t_order_is_below_m(order5_curve, order5_gen):
 
 
 # (curve, t, m, p, translates): floor(log2 m) + popcount(m) - 1 translates
+# in the chain oracle
 _E1, _90C3 = (0, -1, 1, -10, -20), (1, -1, 1, -122, 1721)
 _CHAIN_CASES = [
     (_E1, None, 1, (5, 5), 0),
@@ -335,23 +339,23 @@ _CHAIN_CASES = [
     (_90C3, (-9, 49), 12, (21, 79), 4),  # order 12
     (_90C3, (21, 79), 12, (9, 31), 4),  # order 6, below m
 ]
+_CHAIN_IDS = ["m1-O", "m2", "m3", "m4", "m5", "m6", "m8-order4", "m10-order5", "m12", "m12-order6"]
 
 
-@pytest.mark.parametrize(
-    "coeffs,t,m,p,translates",
-    _CHAIN_CASES,
-    ids=["m1-O", "m2", "m3", "m4", "m5", "m6", "m8-order4", "m10-order5", "m12", "m12-order6"],
-)
+def _chain_case(coeffs, t, m, p):
+    curve = WeierstrassCurve(*coeffs)
+    t = INFINITY if t is None else CurvePoint(F(t[0]), F(t[1]))
+    return RationalCocycle(curve, m, t), CurvePoint(F(p[0]), F(p[1]))
+
+
+@pytest.mark.parametrize("coeffs,t,m,p,translates", _CHAIN_CASES, ids=_CHAIN_IDS)
 def test_pairing_takes_chain_translates_and_no_table(monkeypatch, coeffs, t, m, p, translates):
     import relbrauer.cocycle as cocycle_mod
 
-    curve = WeierstrassCurve(*coeffs)
-    t = INFINITY if t is None else CurvePoint(F(t[0]), F(t[1]))
-    p = CurvePoint(F(p[0]), F(p[1]))
-    coc = RationalCocycle(curve, m, t)
+    coc, p = _chain_case(coeffs, t, m, p)
     expected = cyclic_reduce(two_cocycle(coc, p))
     calls = {"translate": 0, "function": 0, "add": 0}
-    translate, function, add = EllFn.translate, cocycle_mod.cocycle_function, WeierstrassCurve.add
+    translate, function, add = EllFn.translate, oracles.cocycle_function, WeierstrassCurve.add
     in_function = []
 
     def counted_translate(self, q):
@@ -372,15 +376,123 @@ def test_pairing_takes_chain_translates_and_no_table(monkeypatch, coeffs, t, m, 
         return add(self, *args)
 
     def no_table(*args, **kwargs):
-        raise AssertionError("the pairing must not build the 2-cocycle table")
+        raise AssertionError("the chain must not build the 2-cocycle table")
 
     monkeypatch.setattr(EllFn, "translate", counted_translate)
     monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
-    monkeypatch.setattr(cocycle_mod, "cocycle_function", counted_function)
+    monkeypatch.setattr(oracles, "cocycle_function", counted_function)
     monkeypatch.setattr(cocycle_mod, "two_cocycle", no_table)
-    assert pairing_scalar(coc, p) == expected
+    assert pairing_scalar_by_chain(coc, p) == expected
     # each shift the chain computes is used by the next translate
     assert calls == {"translate": translates, "function": 1, "add": max(translates - 1, 0)}
+
+
+@pytest.mark.parametrize("coeffs,t,m,p,translates", _CHAIN_CASES, ids=_CHAIN_IDS)
+def test_pairing_reads_points_with_no_function_field(monkeypatch, add_calls, coeffs, t, m, p, translates):
+    import relbrauer.cocycle as cocycle_mod
+
+    coc, p = _chain_case(coeffs, t, m, p)
+    expected = cyclic_reduce(two_cocycle(coc, p))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pairing must not build functions")
+
+    monkeypatch.setattr(EllFn, "translate", refuse)
+    monkeypatch.setattr(EllFn, "__init__", refuse)
+    monkeypatch.setattr(cocycle_mod, "cocycle_function", refuse)
+    monkeypatch.setattr(cocycle_mod, "two_cocycle", refuse)
+    add_calls.clear()
+    assert pairing_scalar(coc, p) == expected
+    # t + p, then [2]t, ..., [m-1]t
+    assert len(add_calls) <= (0 if coc.t.is_infinity else m - 1)
+    add_calls.clear()
+    assert pairing_scalar(coc, INFINITY) == 1
+    assert add_calls == []
+
+
+def test_pairing_refuses_a_line_that_misses_t_plus_p(monkeypatch, order5_curve, order5_gen):
+    # an add that hands back -(t + p), one whose negative is on the tangent
+    # y = 5x - 20 at t but not on E, and one that claims t + p = O: each
+    # gives a pairing line that does not meet E where the divisor needs it to
+    coc = RationalCocycle(order5_curve, 5, order5_gen)
+    add = WeierstrassCurve.add
+    monkeypatch.setattr(WeierstrassCurve, "add", lambda self, a, b: self.negate(add(self, a, b)))
+    with pytest.raises(NonConstantCocycleValue, match="does not meet"):
+        pairing_scalar(coc, order5_gen)
+    monkeypatch.setattr(WeierstrassCurve, "add", lambda self, a, b: CurvePoint(F(0), F(19)))
+    with pytest.raises(NonConstantCocycleValue, match="does not meet"):
+        pairing_scalar(coc, order5_gen)
+    monkeypatch.setattr(WeierstrassCurve, "add", lambda self, a, b: INFINITY)
+    with pytest.raises(NonConstantCocycleValue, match="not -t"):
+        pairing_scalar(coc, order5_gen)
+
+
+def test_pairing_refuses_orders_that_do_not_sum_to_zero(mixed_torsion_curve):
+    # a forged cocycle whose t has order 4, not m = 2: the tangent at t is a
+    # true pairing line, but <t> is not closed, and f_1 has order 1 at O
+    # and -2 at t
+    forged = object.__new__(RationalCocycle)
+    t = CurvePoint(F(-2), F(3))
+    object.__setattr__(forged, "curve", mixed_torsion_curve)
+    object.__setattr__(forged, "m", 2)
+    object.__setattr__(forged, "t", t)
+    with pytest.raises(NonConstantCocycleValue, match="do not sum to 0"):
+        pairing_scalar(forged, t)
+
+
+_TORSION_CURVES = [
+    (0, -1, 1, -10, -20),  # E1, Z/5
+    (1, 1, 1, -10, -10),  # E2, Z/4 x Z/2
+    (1, -1, 1, -3, 3),  # 26b1, Z/7
+    (1, -1, 1, -14, 29),  # 54b3, Z/9
+    (1, -1, 1, -122, 1721),  # 90c3, Z/12
+    (0, 0, 0, -1, 0),  # Z/2 x Z/2
+]
+
+
+@pytest.mark.parametrize("coeffs", _TORSION_CURVES, ids=["E1", "E2", "26b1", "54b3", "90c3", "x3-x"])
+def test_cocycle_function_is_the_line_quotient(coeffs):
+    # the closed form pairing_scalar reads: f_1 = V/L, or 1/(x - x(t))
+    from relbrauer import torsion_subgroup
+
+    curve = WeierstrassCurve(*coeffs)
+    x, y = EllFn.coordinate_x(curve), EllFn.coordinate_y(curve)
+    points = torsion_subgroup(curve).elements
+    for t in points:
+        for p in points:
+            total = curve.add(t, p)
+            if t.is_infinity or p.is_infinity:
+                expected = EllFn.const(curve, 1)
+            elif total.is_infinity:
+                expected = 1 / (x - t.x)
+            else:
+                lam = curve.chord_slope(t, p)
+                nu = t.y - lam * t.x
+                expected = (x - total.x) / (y - lam * x - nu)
+            assert cocycle_function(curve, t, p) == expected
+
+
+def test_pairing_scalar_matches_chain_on_highm_reference():
+    # every pairing and relbr point of the benchmark's highm_pairing pool
+    from relbrauer import torsion_subgroup
+    from relbrauer.cli import _job_from_args
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference" / "highm_pairing.json"
+    cases = set()
+    for entries in json.loads(path.read_text()).values():
+        for entry in entries:
+            job = _job_from_args(entry["argv"])
+            if job.command == "pairing":
+                points = [job.p]
+            elif job.gens_auto:
+                points = [g for g, _ in torsion_subgroup(job.curve).generators]
+            else:
+                points = list(job.gens)
+            cases.update((job.curve, job.m, job.t, p) for p in points)
+    assert len(cases) > 100  # 172 distinct (curve, m, t, p)
+    for curve, m, t, p in cases:
+        coc = RationalCocycle(curve, m, t)
+        assert pairing_scalar(coc, p) == pairing_scalar_by_chain(coc, p)
 
 
 @pytest.mark.parametrize(

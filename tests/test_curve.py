@@ -84,9 +84,9 @@ def test_order_bound_is_mazurs_and_shared(monkeypatch, rank_one_curve):
         return add(self, p, q)
 
     monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
-    # a point of infinite order gives up after 12 multiples
+    # a point of infinite order gives up at its 12th multiple, 11 adds in
     assert rank_one_curve.point_order(CurvePoint(F(1), F(1))) is None
-    assert len(adds) == 12
+    assert len(adds) == 11
 
 
 def test_membership(order5_curve):
@@ -167,6 +167,35 @@ def test_point_order(mixed_torsion_curve, rank_one_curve):
     assert c.point_order(INFINITY) == 1
     # non-torsion points run past the bound
     assert rank_one_curve.point_order(CurvePoint(F(1), F(1))) is None
+
+
+@pytest.mark.parametrize("n", range(-12, 13))
+def test_multiply_stops_at_its_last_needed_add(add_calls, rank_one_curve, n):
+    # doublings from the lowest set bit and none past the top bit:
+    # floor(log2 |n|) + popcount(|n|) - 1 adds, so 3 for n = 5 and 2 for n = 4
+    p = CurvePoint(F(1), F(1))
+    step = p if n > 0 else rank_one_curve.negate(p)
+    expected = INFINITY
+    for _ in range(abs(n)):
+        expected = rank_one_curve.add(expected, step)
+    add_calls.clear()
+    assert rank_one_curve.multiply(n, p) == expected
+    k = abs(n)
+    assert len(add_calls) == (k.bit_length() + k.bit_count() - 2 if k else 0)
+
+
+def test_point_order_stops_at_the_bound(add_calls):
+    # 37a1's (0, 0) has infinite order: 12p is the last multiple looked at
+    curve = WeierstrassCurve(0, 0, 1, -1, 0)
+    assert curve.point_order(CurvePoint(F(0), F(0))) is None
+    assert len(add_calls) == 11
+    add_calls.clear()
+    # 90c3's (-9, 49) has order 12, the bound
+    assert WeierstrassCurve(1, -1, 1, -122, 1721).point_order(CurvePoint(F(-9), F(49))) == 12
+    assert len(add_calls) == 11
+    add_calls.clear()
+    assert curve.point_order(CurvePoint(F(0), F(0)), bound=1) is None
+    assert add_calls == []
 
 
 def test_to_short_integral_general_model(order5_curve, order5_gen):

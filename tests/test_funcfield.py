@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relbrauer import CurvePoint, INFINITY, RationalCocycle, WeierstrassCurve, pairing_scalar
+from relbrauer import CurvePoint, INFINITY, RationalCocycle, WeierstrassCurve
 from relbrauer.exact import Poly
 from relbrauer.funcfield import (
     INDETERMINATE,
@@ -18,7 +18,7 @@ from relbrauer.funcfield import (
     EllFn,
 )
 
-from oracles import has_pole_at, vanishes_at
+from oracles import has_pole_at, pairing_scalar_by_chain, vanishes_at
 
 
 @pytest.fixture
@@ -190,14 +190,24 @@ def test_translate_is_a_field_homomorphism(order5_curve, order5_gen, xy):
 )
 def test_translate_takes_powers_of_u_from_its_table(monkeypatch, p, b):
     # 90c3 with t of order 12: every power of u comes from the table, and b
-    # is the value the pairing gave when translate raised u to each power
+    # is the value the chain of translates gave when translate raised u to
+    # each power
     def no_pow(self, n):
         raise AssertionError("Poly.__pow__ called")
 
+    translates = []
+    translate = EllFn.translate
+
+    def counted_translate(self, q):
+        translates.append(q)
+        return translate(self, q)
+
     monkeypatch.setattr(Poly, "__pow__", no_pow)
+    monkeypatch.setattr(EllFn, "translate", counted_translate)
     curve = WeierstrassCurve(1, -1, 1, -122, 1721)
     cocycle = RationalCocycle(curve, 12, CurvePoint(-9, 49))
-    assert pairing_scalar(cocycle, CurvePoint(*p)) == b
+    assert pairing_scalar_by_chain(cocycle, CurvePoint(*p)) == b
+    assert len(translates) == 4
 
 
 def test_str(order5_curve, xy):

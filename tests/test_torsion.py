@@ -165,3 +165,26 @@ def test_search_work_is_bounded(monkeypatch, coeffs, max_factor, max_add):
         assert counts["factor"] <= max_factor
     if max_add is not None:
         assert counts["add"] <= max_add
+
+
+@pytest.mark.parametrize(
+    "coeffs,generators",
+    [
+        # Z/8 x Z/2: 8 adds when the presentation walked all of <g1>
+        ((1, 0, 0, -1070, 7812), (((-26, 148), 8), ((-36, 18), 2))),
+        # Z/6 x Z/2: 6 adds when it walked <g1>
+        ((1, 0, 1, -19, 26), (((-2, 8), 6), ((-5, 2), 2))),
+    ],
+    ids=["210e2", "30a2"],
+)
+def test_presentation_computes_one_point_of_g1(add_calls, coeffs, generators):
+    # the only 2-torsion point of <g1> is (max_order / 2) g1, two adds here
+    curve = WeierstrassCurve(*coeffs)
+    group = torsion_subgroup(curve)
+    orders = {p: curve.point_order(p) for p in group.elements}
+    add_calls.clear()
+    assert torsion_module._presentation(curve, group.elements, orders) == group
+    assert len(add_calls) == 2
+    assert group.generators == tuple(
+        (CurvePoint(F(x), F(y)), n) for (x, y), n in generators
+    )
