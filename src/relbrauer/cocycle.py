@@ -11,9 +11,11 @@ The pairing reads b off the points of <t>: b is the norm of one function
 f_1 = V/L, a quotient of a vertical and a line function, and equals the
 product of the leading coefficients of f_1 at O, t, ..., [m-1]t, each in a
 uniformizer normalized by the invariant differential.  Those come from
-closed forms in the coordinates, so the pairing takes m - 1 group-law adds
-and no function-field arithmetic.  two_cocycle and cyclic_reduce build and
-reduce the full table and remain as the reference.
+closed forms in the coordinates, and repeat with the period n = ord(t), so
+the pairing reads the n points of <t> that RationalCocycle walked once,
+takes one group-law add (t + p), and does no function-field arithmetic.
+two_cocycle and cyclic_reduce build and reduce the full table and remain as
+the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .brauer import (
     class_status,
     quaternion_group_invariants,
 )
-from .curve import INFINITY, CurvePoint, WeierstrassCurve
+from .curve import INFINITY, ORDER_BOUND, CurvePoint, WeierstrassCurve
 from .exact import Poly, _Value, mth_power_free_part, rational_exponents
 from .funcfield import EllFn
 
@@ -86,21 +88,32 @@ def cocycle_function(curve: WeierstrassCurve, shift: CurvePoint, p: CurvePoint) 
 
 class RationalCocycle(_Value):
     """The twisting data: a cyclic group of order m acting through the
-    m-torsion point t, as the homomorphism i -> [i]t into E(Q)."""
+    m-torsion point t, as the homomorphism i -> [i]t into E(Q).
 
-    __slots__ = _fields = ("curve", "m", "t")
+    _cycle holds O, t, [2]t, ..., [n-1]t with n the order of t, walked once
+    here and read by value and pairing_scalar; it is not compared.  The walk
+    takes at most min(m, ORDER_BOUND) - 1 adds: a rational point that has
+    not reached O by its ORDER_BOUND-th multiple has infinite order (Mazur).
+    """
+
+    __slots__ = ("curve", "m", "t", "_cycle")
+    _fields = __slots__[:3]
 
     def __init__(self, curve: WeierstrassCurve, m: int, t: CurvePoint):
         if not isinstance(m, int) or m < 1:
             raise ValueError("the cyclic order m must be a positive integer")
         curve._require(t)
-        if not curve.multiply(m, t).is_infinity:
+        cycle, q = [INFINITY], t
+        while not q.is_infinity and len(cycle) < min(m, ORDER_BOUND):
+            cycle.append(q)
+            q = curve.add(q, t)
+        if not q.is_infinity or m % len(cycle):
             raise ValueError(f"[{m}]t is not the identity; t must be m-torsion")
-        self._set(curve, m, t)
+        self._set(curve, m, t, tuple(cycle))
 
     def value(self, i: int) -> CurvePoint:
         """The point [i]t attached to the i-th group element."""
-        return self.curve.multiply(i % self.m, self.t)
+        return self._cycle[i % len(self._cycle)]
 
 
 class TwoCocycle(_Value):
@@ -248,7 +261,10 @@ def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
     [i]t) / f_{i+1}, the f_i telescope away because f_m = f_0 = 1.  N_m is
     the constant b.  Leading coefficients multiply, and translation
     preserves omega, so b = lc_O(N_m) = prod_{k=0}^{m-1} lc_{[k]t}(f_1),
-    and the orders of f_1 at the [k]t sum to 0.
+    and the orders of f_1 at the [k]t sum to 0.  The factors repeat with
+    the period n = ord(t), which divides m, so b is the product over
+    O, t, ..., [n-1]t raised to m/n, and the orders already sum to 0 over
+    one period.
 
     The monic f_1 is exactly V/L with V = x - x(t+p) and L = y - lam x - nu,
     where lam is the chord or tangent slope through t and p and
@@ -273,7 +289,8 @@ def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
     third intersection.  In the vertical case p = -t is checked.  Then
     div f_1 = (t+p) + (O) - (t) - (p), and with [m]t = O, which
     RationalCocycle checks, N_m is constant.  After the product the orders
-    must sum to 0.  Either failure raises NonConstantCocycleValue.
+    over the period must sum to 0.  Either failure raises
+    NonConstantCocycleValue.
     """
     curve = cocycle.curve
     curve._require(p)
@@ -302,15 +319,9 @@ def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
         roots = (t.x, p.x, x3)
         at_infinity = (Fraction(-1), 1)
     b, order = at_infinity
-    q = t
-    for k in range(1, cocycle.m):
-        if k > 1:
-            q = curve.add(q, t)
-        if q.is_infinity:
-            c, e = at_infinity
-            b *= c
-            order += e
-        elif vertical:
+    cycle = cocycle._cycle
+    for q in cycle[1:]:
+        if vertical:
             c, e = _lc_vertical(curve, q, t.x)
             b /= c
             order -= e
@@ -321,7 +332,7 @@ def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
             order += e - f
     if order:
         raise NonConstantCocycleValue("the orders of the pairing function on <t> do not sum to 0")
-    return b
+    return b ** (cocycle.m // len(cycle))
 
 
 def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebraClass:

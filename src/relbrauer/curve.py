@@ -2,13 +2,16 @@
 
 Full five-coefficient models y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6,
 the chord-tangent group law, point orders, and admissible changes of
-variables down to a short integral model.
+variables down to a short integral model.  The group law and the membership
+test run on integers: the numerators and denominators of the coordinates,
+and the coefficients scaled to integers (WeierstrassCurve._scaled); each
+coordinate of a sum is one Fraction built from them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exact import _Value, factor
 
@@ -36,6 +39,13 @@ class CurvePoint(_Value):
     @staticmethod
     def affine(x, y) -> "CurvePoint":
         return CurvePoint(Fraction(x), Fraction(y))
+
+    @staticmethod
+    def _of(x: Fraction, y: Fraction) -> "CurvePoint":
+        """The affine point (x, y) of two Fractions, which it takes as they are."""
+        p = object.__new__(CurvePoint)
+        p._set(x, y)
+        return p
 
     @property
     def is_infinity(self) -> bool:
@@ -74,8 +84,9 @@ class WeierstrassCurve(_Value):
     """A Weierstrass model over Q.
 
     _scaled holds (L, L*a1, L*a2, L*a3, L*a4, L*a6) as integers, with L the
-    least common denominator of the coefficients, for is_on_curve; it is
-    not compared.
+    least common denominator of the coefficients, for is_on_curve, add and
+    chord_slope, which compute on it and on the coordinates' numerators and
+    denominators; it is not compared.
     """
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "_scaled")
@@ -129,34 +140,77 @@ class WeierstrassCurve(_Value):
             return INFINITY
         return CurvePoint(p.x, -p.y - self.a1 * p.x - self.a3)
 
+    def _slope(self, p: CurvePoint, q: CurvePoint) -> tuple[int, int] | None:
+        """The slope of chord_slope as (N, D) in lowest terms, or None.
+
+        With x = X/dx and y = Y/dy, the chord slope is
+        (Y2 dy1 - Y1 dy2) dx1 dx2 / ((X2 dx1 - X1 dx2) dy1 dy2).  The tangent
+        slope (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3), with both terms
+        multiplied by scale dx^2 dy, is a quotient of integers in the scaled
+        coefficients.  Reducing the quotient takes one gcd.
+        """
+        x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+        X1, dx1, Y1, dy1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+        X2, dx2 = x2.numerator, x2.denominator
+        if X1 != X2 or dx1 != dx2:
+            Y2, dy2 = y2.numerator, y2.denominator
+            num = (Y2 * dy1 - Y1 * dy2) * dx1 * dx2
+            den = (X2 * dx1 - X1 * dx2) * dy1 * dy2
+        elif y1 != y2:
+            # same x and a different y: on the curve, q = -p
+            return None
+        else:
+            scale, a1, a2, a3, a4, _ = self._scaled
+            dxx = dx1 * dx1
+            num = dy1 * (X1 * (3 * scale * X1 + 2 * a2 * dx1) + a4 * dxx) - a1 * Y1 * dxx
+            den = dx1 * (2 * scale * Y1 * dx1 + (a1 * X1 + a3 * dx1) * dy1)
+            if not den:
+                return None
+        g = gcd(num, den)
+        return num // g, den // g
+
     def chord_slope(self, p: CurvePoint, q: CurvePoint) -> Fraction | None:
         """Slope of the line through the affine points p and q of the curve,
         the tangent when p = q, or None when that line is vertical (q = -p)."""
-        x1, y1 = p.x, p.y
-        x2, y2 = q.x, q.y
-        if x1 != x2:
-            return (y2 - y1) / (x2 - x1)
-        if y1 + y2 + self.a1 * x2 + self.a3 == 0:
-            return None
-        # same x and not -p, so q = p
-        denom = 2 * y1 + self.a1 * x1 + self.a3
-        return (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) / denom
+        slope = self._slope(p, q)
+        return None if slope is None else Fraction(*slope)
 
     def add(self, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+        """p + q by the chord-tangent law (Silverman, AEC, III.2.3), on the
+        integers of the coordinates and of _scaled, with the slope N/D:
+
+            x3 = (N/D)^2 + a1 N/D - a2 - x1 - x2,
+            y3 = (N/D)(x1 - x3) - y1 - a1 x3 - a3,
+
+        each over one common denominator, and each a Fraction built once.
+        """
         self._require(p)
         self._require(q)
         if p.is_infinity:
             return q
         if q.is_infinity:
             return p
-        lam = self.chord_slope(p, q)
-        if lam is None:
+        slope = self._slope(p, q)
+        if slope is None:
             return INFINITY
-        x1 = p.x
-        nu = p.y - lam * x1
-        x3 = lam * lam + self.a1 * lam - self.a2 - x1 - q.x
-        y3 = -(lam + self.a1) * x3 - nu - self.a3
-        return CurvePoint(x3, y3)
+        N, D = slope
+        scale, a1, a2, a3, _, _ = self._scaled
+        x1, x2, y1 = p.x, q.x, p.y
+        X1, dx1, X2, dx2 = x1.numerator, x1.denominator, x2.numerator, x2.denominator
+        sD2 = scale * D * D
+        x3 = Fraction(
+            (scale * N * N + (a1 * N - a2 * D) * D) * dx1 * dx2 - sD2 * (X1 * dx2 + X2 * dx1),
+            sD2 * dx1 * dx2,
+        )
+        X3, dx3 = x3.numerator, x3.denominator
+        Y1, dy1 = y1.numerator, y1.denominator
+        sD = scale * D
+        y3 = Fraction(
+            dy1 * (scale * N * (X1 * dx3 - X3 * dx1) - D * dx1 * (a1 * X3 + a3 * dx3))
+            - sD * dx1 * dx3 * Y1,
+            sD * dx1 * dx3 * dy1,
+        )
+        return CurvePoint._of(x3, y3)
 
     def multiply(self, n: int, p: CurvePoint) -> CurvePoint:
         """[n]p, by doubling from the lowest set bit of n: floor(log2 n) +

@@ -3,7 +3,8 @@
 Each is an independent route to a fact the pipeline computes another way:
 zeros and poles of a function by evaluation, equality of quaternion
 classes by Hilbert symbols, the pairing scalar as the norm of a function,
-and the rational torsion subgroup by the full Nagell-Lutz search.
+the group law in Fraction arithmetic, and the rational torsion subgroup by
+the full Nagell-Lutz search.
 """
 
 from fractions import Fraction
@@ -44,6 +45,39 @@ def quaternion_class_equal(alg1, alg2) -> bool:
         raise ValueError("classes live over different extensions")
     # quaternion classes are 2-torsion: equality iff the product splits
     return quaternion_is_split(alg1.ext.d, alg1.b_raw * alg2.b_raw)
+
+
+def chord_slope_by_fractions(curve, p, q):
+    """The slope of the line through the affine points p and q of the curve,
+    the tangent when p = q, or None when it is vertical, in Fractions."""
+    x1, y1 = p.x, p.y
+    x2, y2 = q.x, q.y
+    if x1 != x2:
+        return (y2 - y1) / (x2 - x1)
+    if y1 + y2 + curve.a1 * x2 + curve.a3 == 0:
+        return None
+    # same x and not -p, so q = p
+    denom = 2 * y1 + curve.a1 * x1 + curve.a3
+    return (3 * x1 * x1 + 2 * curve.a2 * x1 + curve.a4 - curve.a1 * y1) / denom
+
+
+def add_by_fractions(curve, p, q):
+    """p + q by the chord-tangent formulas (Silverman, AEC, III.2.3) in
+    Fraction arithmetic on the coefficients a1 ... a6."""
+    curve._require(p)
+    curve._require(q)
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    lam = chord_slope_by_fractions(curve, p, q)
+    if lam is None:
+        return INFINITY
+    x1 = p.x
+    nu = p.y - lam * x1
+    x3 = lam * lam + curve.a1 * lam - curve.a2 - x1 - q.x
+    y3 = -(lam + curve.a1) * x3 - nu - curve.a3
+    return CurvePoint(x3, y3)
 
 
 def pairing_scalar_by_chain(cocycle, p):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -237,6 +238,37 @@ def test_exit_code_parse_failures(capsys):
          "--p", "5,5", "--ext", "cyclo:11:10"]
     ) == 1  # off-curve point
     capsys.readouterr()
+
+
+def test_pairing_with_huge_m_reads_one_period(capsys):
+    # ord(t) = 2 divides m = 1000002: the pairing reads the one period O, t
+    # of <t> and raises its product, -1, to m/2
+    start = time.perf_counter()
+    code = main(
+        ["pairing", "--curve", "[-1,0]", "--t=0,0", "--m", "1000002", "--p=-1,0",
+         "--ext", "cyclo:1000003:1"]
+    )
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "  b_raw: -1\n" in out
+    assert "status: nontrivial (witness prime 1000003)" in out
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("m", [3000, 10000])
+def test_infinite_order_t_refused_fast(capsys, m):
+    # 37a1's (0, 0) has infinite order: the walk gives up at its 12th
+    # multiple instead of computing [m]t, whose height grows with m
+    start = time.perf_counter()
+    code = main(
+        ["pairing", "--curve", "0 0 1 -1 0", "--t=0,0", "--m", str(m), "--p=O",
+         "--ext", "quad:-1"]
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [{m}]t is not the identity; t must be m-torsion\n"
+    assert elapsed < 0.5
 
 
 def test_exit_code_torsion_mismatch(capsys):

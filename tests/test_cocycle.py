@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -410,6 +411,65 @@ def test_pairing_reads_points_with_no_function_field(monkeypatch, add_calls, coe
     assert add_calls == []
 
 
+@pytest.mark.parametrize("coeffs,t,m,p,translates", _CHAIN_CASES, ids=_CHAIN_IDS)
+def test_cocycle_walks_t_once(add_calls, coeffs, t, m, p, translates):
+    # RationalCocycle walks t, [2]t, ... to O in ord(t) - 1 adds; the
+    # pairing then adds only t + p and raises one period's product to m/n
+    add_calls.clear()
+    coc, p = _chain_case(coeffs, t, m, p)
+    walked = len(add_calls)
+    n = coc.curve.point_order(coc.t)
+    assert walked == n - 1 and m % n == 0
+    assert [coc.value(i) for i in range(-1, m + 1)] == [
+        coc.curve.multiply(i, coc.t) for i in range(-1, m + 1)
+    ]
+    expected = pairing_scalar_by_chain(coc, p)
+    add_calls.clear()
+    assert pairing_scalar(coc, p) == expected
+    assert len(add_calls) == (0 if coc.t.is_infinity else 1)
+
+
+def test_rational_cocycle_walk_is_bounded(add_calls, order5_curve, order5_gen):
+    # Mazur: a rational point that has not reached O by its 12th multiple has
+    # infinite order, so the walk stops there however large m is
+    message = "t is not the identity; t must be m-torsion"
+    p37 = WeierstrassCurve(0, 0, 1, -1, 0), CurvePoint(F(0), F(0))
+    for (curve, t), m, adds in [
+        (p37, 13, 11),
+        (p37, 10**6, 11),
+        (p37, 5, 4),
+        ((order5_curve, order5_gen), 3, 2),
+        ((order5_curve, order5_gen), 10**6 + 1, 4),
+    ]:
+        add_calls.clear()
+        with pytest.raises(ValueError, match=re.escape(f"[{m}]{message}")):
+            RationalCocycle(curve, m, t)
+        assert len(add_calls) == adds
+    add_calls.clear()
+    coc = RationalCocycle(order5_curve, 10**6, order5_gen)
+    assert len(add_calls) == 4
+    assert coc.value(10**6 - 1) == order5_curve.negate(order5_gen)
+    # one period's product, raised to m/n = 7, is the norm over all 35 shifts
+    coc = RationalCocycle(order5_curve, 35, order5_gen)
+    g3 = CurvePoint(F(16), F(60))
+    b5 = pairing_scalar(RationalCocycle(order5_curve, 5, order5_gen), g3)
+    assert pairing_scalar(coc, g3) == pairing_scalar_by_chain(coc, g3) == b5**7 != b5
+
+
+def test_relative_brauer_walks_t_once(add_calls):
+    # the 26b1 m = 7 relbr --gens job of the highm_pairing pool: each
+    # generator costs one add, t + p, and no generator walks <t> again
+    curve = WeierstrassCurve(1, -1, 1, -3, 3)
+    t = CurvePoint(F(-1), F(-2))
+    coc = RationalCocycle(curve, 7, t)
+    gens = [(CurvePoint(F(x), F(y)), 7) for x, y in [(-1, -2), (-1, 2), (1, -2)]]
+    expected = [pairing_scalar_by_chain(coc, g) for g, _ in gens]
+    add_calls.clear()
+    presentation = relative_brauer(coc, gens, Cyclotomic.from_generators(29, (12,)))
+    assert len(add_calls) == len(gens)
+    assert [e.algebra.b_raw for e in presentation.entries] == expected
+
+
 def test_pairing_refuses_a_line_that_misses_t_plus_p(monkeypatch, order5_curve, order5_gen):
     # an add that hands back -(t + p), one whose negative is on the tangent
     # y = 5x - 20 at t but not on E, and one that claims t + p = O: each
@@ -428,7 +488,8 @@ def test_pairing_refuses_a_line_that_misses_t_plus_p(monkeypatch, order5_curve, 
 
 
 def test_pairing_refuses_orders_that_do_not_sum_to_zero(mixed_torsion_curve):
-    # a forged cocycle whose t has order 4, not m = 2: the tangent at t is a
+    # a forged cocycle whose t has order 4, not m = 2, with the walk O, t
+    # that a check-free RationalCocycle would keep: the tangent at t is a
     # true pairing line, but <t> is not closed, and f_1 has order 1 at O
     # and -2 at t
     forged = object.__new__(RationalCocycle)
@@ -436,6 +497,7 @@ def test_pairing_refuses_orders_that_do_not_sum_to_zero(mixed_torsion_curve):
     object.__setattr__(forged, "curve", mixed_torsion_curve)
     object.__setattr__(forged, "m", 2)
     object.__setattr__(forged, "t", t)
+    object.__setattr__(forged, "_cycle", (INFINITY, t))
     with pytest.raises(NonConstantCocycleValue, match="do not sum to 0"):
         pairing_scalar(forged, t)
 

@@ -124,6 +124,100 @@ def test_is_on_curve_matches_fraction_formula(order5_curve, mixed_torsion_curve)
     assert seen[True] >= 200 and seen[False] >= 600
 
 
+_TORSION_CURVES = [
+    (0, -1, 1, -10, -20),  # E1, Z/5
+    (1, 1, 1, -10, -10),  # E2, Z/4 x Z/2
+    (1, -1, 1, -3, 3),  # 26b1, Z/7
+    (1, -1, 1, -14, 29),  # 54b3, Z/9
+    (1, -1, 1, -122, 1721),  # 90c3, Z/12
+    (0, 0, 0, -1, 0),  # y^2 = x^3 - x, Z/2 x Z/2
+]
+
+
+def _seeded_models():
+    """Each torsion curve on its own model, then 40 seeded models with
+    fractional a1 ... a6, each with its torsion points and a few multiples of
+    a point of infinite order where the curve has one at hand."""
+    rng = random.Random(10)
+
+    def rat():
+        return F(rng.randint(-30, 30), rng.randint(2, 9))
+
+    bases = []
+    for coeffs in _TORSION_CURVES:
+        base = WeierstrassCurve(*coeffs)
+        bases.append((base, list(torsion_subgroup(base).elements)))
+    rank_one = WeierstrassCurve(0, 0, 0, -2, 2)
+    p = CurvePoint(F(1), F(1))
+    bases.append((rank_one, [INFINITY, p, *(rank_one.multiply(n, p) for n in (2, 3, -2))]))
+    yield from bases
+    for _ in range(40):
+        base, points = rng.choice(bases)
+        phi = ModelMap(rat() or F(1, 2), rat(), rat(), rat())
+        yield phi.transform_curve(base), [phi.push_point(q) for q in points]
+
+
+def test_add_matches_fraction_oracle():
+    from oracles import add_by_fractions, chord_slope_by_fractions
+
+    seen = dict.fromkeys(["O + P", "P + (-P)", "2-torsion doubled", "chord", "tangent"], 0)
+    fractional = 0
+    for curve, points in _seeded_models():
+        coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+        fractional += any(a.denominator > 1 for a in coeffs)
+        for p in points:
+            for q in points:
+                total = curve.add(p, q)
+                assert total == add_by_fractions(curve, p, q), (curve, p, q)
+                assert total.is_infinity or type(total.x) is type(total.y) is F
+                if p.is_infinity or q.is_infinity:
+                    seen["O + P"] += 1
+                    continue
+                assert curve.chord_slope(p, q) == chord_slope_by_fractions(curve, p, q)
+                if p.x != q.x:
+                    seen["chord"] += 1
+                elif p.y != q.y:
+                    # x1 = x2 and y1 != y2: q = -p, the vertical line
+                    assert total.is_infinity
+                    seen["P + (-P)"] += 1
+                elif total.is_infinity:
+                    seen["2-torsion doubled"] += 1
+                else:
+                    seen["tangent"] += 1
+    assert fractional >= 40
+    assert min(seen.values()) >= 20, seen
+
+
+def test_add_makes_no_fraction_arithmetic(monkeypatch):
+    # the group law runs on the integers of the coordinates and of _scaled:
+    # every Fraction operator raises while add and chord_slope run
+    pairs = [
+        (curve, p, q)
+        for curve, points in _seeded_models()
+        for p in points
+        for q in points
+    ]
+    expected = [curve.add(p, q) for curve, p, q in pairs]
+    slopes = [
+        curve.chord_slope(p, q) if not (p.is_infinity or q.is_infinity) else None
+        for curve, p, q in pairs
+    ]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside the group law")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
+            patch.setattr(F, name, refuse)
+        got = [curve.add(p, q) for curve, p, q in pairs]
+        got_slopes = [
+            curve.chord_slope(p, q) if not (p.is_infinity or q.is_infinity) else None
+            for curve, p, q in pairs
+        ]
+    assert got == expected and got_slopes == slopes
+
+
 def test_point_display():
     assert str(INFINITY) == "O"
     assert str(CurvePoint(F(-13, 4), F(9, 8))) == "(-13/4, 9/8)"

@@ -207,9 +207,10 @@ def test_copy_and_pickle_round_trip(name):
         (lambda: Cyclotomic(11, (1, 10)), "sigma", 3),
         (_alg, "primes", (3, 7)),
         (_e1, "_scaled", (9, 9, 9, 9, 9, 9)),
+        (lambda: RationalCocycle(_e1(), 5, _t()), "_cycle", (_t(),)),
     ],
     ids=["Quadratic.primes", "Cyclotomic.degree", "Cyclotomic.primes", "Cyclotomic.sigma",
-         "CyclicAlgebraClass.primes", "WeierstrassCurve._scaled"],
+         "CyclicAlgebraClass.primes", "WeierstrassCurve._scaled", "RationalCocycle._cycle"],
 )
 def test_non_compared_fields_stay_out_of_eq_hash_and_repr(make, field, junk):
     a, b = make(), make()
