@@ -224,11 +224,18 @@ def _run_torsion(job: JobSpec) -> dict:
     }
 
 
+def _point_order(cocycle: RationalCocycle, point: CurvePoint) -> int | None:
+    """The order of point: from the walk of <t> when point lies in it, else
+    by point_order."""
+    order = cocycle.order_of(point)
+    return cocycle.curve.point_order(point) if order is None else order
+
+
 def _run_pairing(job: JobSpec) -> dict:
     cocycle = RationalCocycle(job.curve, job.m, job.t)
     algebra = brauer_pairing(cocycle, job.p, job.ext)
     status = class_status(algebra)
-    entry = _algebra_json(job.p, algebra, status, order=job.curve.point_order(job.p))
+    entry = _algebra_json(job.p, algebra, status, order=_point_order(cocycle, job.p))
     return {
         "schema": "1",
         "command": "pairing",
@@ -245,9 +252,7 @@ def _run_relbr(job: JobSpec) -> dict:
         print(RANK_WARNING, file=sys.stderr)
         generators = torsion_subgroup(job.curve).generators
     else:
-        generators = tuple(
-            (point, job.curve.point_order(point)) for point in job.gens
-        )
+        generators = tuple((point, _point_order(cocycle, point)) for point in job.gens)
     presentation = relative_brauer(cocycle, generators, job.ext)
     return {
         "schema": "1",
@@ -377,7 +382,7 @@ def main(argv=None) -> int:
     except FactoringLimitExceeded as exc:
         print(f"error: factoring limit exceeded: {exc}", file=sys.stderr)
         return 2
-    except NonConstantCocycleValue as exc:
+    except (NonConstantCocycleValue, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if job.output == "json":

@@ -11,9 +11,12 @@ The pairing reads b off the points of <t>: b is the norm of one function
 f_1 = V/L, a quotient of a vertical and a line function, and equals the
 product of the leading coefficients of f_1 at O, t, ..., [m-1]t, each in a
 uniformizer normalized by the invariant differential.  Those come from
-closed forms in the coordinates, and repeat with the period n = ord(t), so
-the pairing reads the n points of <t> that RationalCocycle walked once,
-takes one group-law add (t + p), and does no function-field arithmetic.
+closed forms in the coordinates, computed on their numerators and
+denominators and on the curve's scaled coefficients, and repeat with the
+period n = ord(t), so the pairing reads the n points of <t> that
+RationalCocycle walked once, takes one group-law add (t + p), and does no
+function-field arithmetic.  The walk also gives the order of each point of
+<t>.
 two_cocycle and cyclic_reduce build and reduce the full table and remain as
 the reference.
 """
@@ -21,6 +24,7 @@ the reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .brauer import (
     BrauerEntry,
@@ -91,9 +95,10 @@ class RationalCocycle(_Value):
     m-torsion point t, as the homomorphism i -> [i]t into E(Q).
 
     _cycle holds O, t, [2]t, ..., [n-1]t with n the order of t, walked once
-    here and read by value and pairing_scalar; it is not compared.  The walk
-    takes at most min(m, ORDER_BOUND) - 1 adds: a rational point that has
-    not reached O by its ORDER_BOUND-th multiple has infinite order (Mazur).
+    here and read by value, order_of and pairing_scalar; it is not compared.
+    The walk takes at most min(m, ORDER_BOUND) - 1 adds: a rational point
+    that has not reached O by its ORDER_BOUND-th multiple has infinite order
+    (Mazur).
     """
 
     __slots__ = ("curve", "m", "t", "_cycle")
@@ -114,6 +119,15 @@ class RationalCocycle(_Value):
     def value(self, i: int) -> CurvePoint:
         """The point [i]t attached to the i-th group element."""
         return self._cycle[i % len(self._cycle)]
+
+    def order_of(self, p: CurvePoint) -> int | None:
+        """The order n/gcd(k, n) of p = [k]t, read off the walk, or None when
+        p is not in <t>."""
+        cycle = self._cycle
+        if p not in cycle:
+            return None
+        n = len(cycle)
+        return n // gcd(cycle.index(p), n)
 
 
 class TwoCocycle(_Value):
@@ -211,39 +225,134 @@ def cyclic_reduce(tc: TwoCocycle) -> Fraction:
     return b
 
 
-def _fy(curve: WeierstrassCurve, q: CurvePoint) -> Fraction:
-    return 2 * q.y + curve.a1 * q.x + curve.a3
+def _fy(curve: WeierstrassCurve, q: tuple[int, int, int, int]) -> tuple[int, int]:
+    """F_y = 2y + a1 x + a3 at q = (X, dx, Y, dy), the point x = X/dx,
+    y = Y/dy, as (numerator, denominator)."""
+    X, dx, Y, dy = q
+    scale, a1, _, a3, _, _ = curve._scaled
+    return 2 * scale * Y * dx + dy * (a1 * X + a3 * dx), scale * dx * dy
 
 
-def _fx(curve: WeierstrassCurve, q: CurvePoint) -> Fraction:
-    return curve.a1 * q.y - 3 * q.x * q.x - 2 * curve.a2 * q.x - curve.a4
+def _fx(curve: WeierstrassCurve, q: tuple[int, int, int, int]) -> tuple[int, int]:
+    """F_x = a1 y - 3x^2 - 2 a2 x - a4 at q = (X, dx, Y, dy), as (numerator,
+    denominator)."""
+    X, dx, Y, dy = q
+    scale, a1, a2, _, a4, _ = curve._scaled
+    num = a1 * Y * dx * dx - dy * (3 * scale * X * X + dx * (2 * a2 * X + a4 * dx))
+    return num, scale * dx * dx * dy
 
 
-def _lc_vertical(curve: WeierstrassCurve, q: CurvePoint, a: Fraction) -> tuple[Fraction, int]:
-    """(lc_q, ord_q) of x - a at the affine point q."""
-    if q.x != a:
-        return q.x - a, 0
-    fy = _fy(curve, q)
-    return (fy, 1) if fy else (-_fx(curve, q), 2)
+def _lc_vertical(curve: WeierstrassCurve, q: tuple[int, int, int, int],
+                 a: tuple[int, int]) -> tuple[int, int, int]:
+    """(numerator, denominator, ord_q) of lc_q of x - A/dA, for a = (A, dA)
+    in lowest terms, at q = (X, dx, Y, dy)."""
+    X, dx, _, _ = q
+    A, dA = a
+    if X != A or dx != dA:
+        return X * dA - A * dx, dx * dA, 0
+    num, den = _fy(curve, q)
+    if num:
+        return num, den, 1
+    num, den = _fx(curve, q)
+    return -num, den, 2
 
 
-def _lc_line(curve: WeierstrassCurve, q: CurvePoint, lam: Fraction, nu: Fraction,
-             roots: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, int]:
-    """(lc_q, ord_q) of L = y - lam*x - nu at the affine point q, where L
-    meets the curve at the x-coordinates roots."""
-    value = q.y - lam * q.x - nu
-    if value:
-        return value, 0
-    fy = _fy(curve, q)
+def _line_numerator(line: tuple[int, int, int], q: tuple[int, int, int, int]) -> int:
+    """alpha dx dy times L = y - (beta x + gamma)/alpha at x = X/dx, y = Y/dy,
+    for line = (alpha, beta, gamma) and q = (X, dx, Y, dy)."""
+    alpha, beta, gamma = line
+    X, dx, Y, dy = q
+    return alpha * Y * dx - dy * (beta * X + gamma * dx)
+
+
+def _lc_line(curve: WeierstrassCurve, q: tuple[int, int, int, int], line: tuple[int, int, int],
+             roots: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """(numerator, denominator, ord_q) of lc_q of L = y - (beta x + gamma)/alpha,
+    for line = (alpha, beta, gamma), at q = (X, dx, Y, dy), where L meets the
+    curve at the x-coordinates roots, each (R, dR) in lowest terms."""
+    X, dx, _, dy = q
+    num = _line_numerator(line, q)
+    if num:
+        return num, line[0] * dx * dy, 0
+    fy, fy_den = _fy(curve, q)
     if not fy:
-        return -_fx(curve, q), 1
-    lc, e = 1 / fy, 0
-    for xi in roots:
-        if xi == q.x:
-            lc, e = lc * fy, e + 1
+        num, den = _fx(curve, q)
+        return -num, den, 1
+    # F_y^(e-1) prod_{x_i != x0} (x0 - x_i), starting from 1/F_y
+    num, den, e = fy_den, fy, 0
+    for R, dR in roots:
+        if R == X and dR == dx:
+            num, den, e = num * fy, den * fy_den, e + 1
         else:
-            lc *= q.x - xi
-    return lc, e
+            num, den = num * (X * dR - R * dx), den * dx * dR
+    return num, den, e
+
+
+def _coordinates(q: CurvePoint) -> tuple[int, int, int, int]:
+    x, y = q.x, q.y
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _period_product(cocycle: RationalCocycle, p: CurvePoint) -> tuple[Fraction, int]:
+    """(c, k) with pairing_scalar(cocycle, p) = c^k: c is the product of the
+    leading coefficients over one period O, t, ..., [n-1]t of <t>, and
+    k = m/n.  See pairing_scalar for the closed forms and the checks.
+
+    Every closed form is a quotient of integers in the numerators and
+    denominators of the coordinates and in _scaled; the product keeps one
+    integer numerator and one denominator, and c is the one Fraction built.
+    """
+    curve = cocycle.curve
+    curve._require(p)
+    t = cocycle.t
+    k = cocycle.m // len(cocycle._cycle)
+    if t.is_infinity or p.is_infinity:
+        return Fraction(1), k
+    scale, a1, a2, a3, _, _ = curve._scaled
+    Xt, dxt, Yt, dyt = _coordinates(t)
+    Xp, dxp, Yp, dyp = _coordinates(p)
+    total = curve.add(t, p)
+    vertical = total.is_infinity
+    if vertical:
+        # p = -t: x(p) = x(t) and y(p) + y(t) + a1 x(t) + a3 = 0
+        if (Xp != Xt or dxp != dxt
+                or (Yp * dyt + Yt * dyp) * scale * dxt + dyp * dyt * (a1 * Xt + a3 * dxt)):
+            raise NonConstantCocycleValue("t + p = O but p is not -t")
+        num, den, order = 1, 1, 2
+    else:
+        slope = curve._slope(t, p)
+        if slope is None:
+            raise NonConstantCocycleValue("the pairing line does not meet E at t, p, -(t+p)")
+        N, D = slope
+        # L = y - lam x - nu through t, with lam = N/D and nu = y(t) - lam x(t),
+        # is (alpha y - beta x - gamma) / alpha
+        alpha, beta = D * dxt * dyt, N * dxt * dyt
+        line = (alpha, beta, Yt * D * dxt - N * Xt * dyt)
+        X3, dx3, Y3, dy3 = _coordinates(total)
+        # -(t+p) = (x3, -y(t+p) - a1 x3 - a3) lies on L, and x3 is the root
+        # of prod (x - x_i) that x(t) and x(p) leave: x(t) + x(p) + x3 =
+        # lam^2 + a1 lam - a2
+        neg = (X3, dx3, -(scale * Y3 * dx3 + dy3 * (a1 * X3 + a3 * dx3)), scale * dx3 * dy3)
+        if (
+            _line_numerator(line, neg)
+            or (Xt * dxp * dx3 + Xp * dxt * dx3 + X3 * dxt * dxp) * scale * D * D
+            != (scale * N * N + (a1 * N - a2 * D) * D) * dxt * dxp * dx3
+        ):
+            raise NonConstantCocycleValue("the pairing line does not meet E at t, p, -(t+p)")
+        roots = ((Xt, dxt), (Xp, dxp), (X3, dx3))
+        num, den, order = -1, 1, 1
+    for q in cocycle._cycle[1:]:
+        q = _coordinates(q)
+        if vertical:
+            c, d, e = _lc_vertical(curve, q, (Xt, dxt))
+            num, den, order = num * d, den * c, order - e
+        else:
+            c, d, e = _lc_vertical(curve, q, (X3, dx3))
+            f, g, h = _lc_line(curve, q, line, roots)
+            num, den, order = num * c * g, den * d * f, order + e - h
+    if order:
+        raise NonConstantCocycleValue("the orders of the pairing function on <t> do not sum to 0")
+    return Fraction(num, den), k
 
 
 def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
@@ -292,62 +401,26 @@ def pairing_scalar(cocycle: RationalCocycle, p: CurvePoint) -> Fraction:
     over the period must sum to 0.  Either failure raises
     NonConstantCocycleValue.
     """
-    curve = cocycle.curve
-    curve._require(p)
-    t = cocycle.t
-    if t.is_infinity or p.is_infinity:
-        return Fraction(1)
-    a1, a3 = curve.a1, curve.a3
-    total = curve.add(t, p)
-    vertical = total.is_infinity
-    if vertical:
-        if p.x != t.x or p.y + t.y + a1 * t.x + a3 != 0:
-            raise NonConstantCocycleValue("t + p = O but p is not -t")
-        at_infinity = (Fraction(1), 2)
-    else:
-        lam = curve.chord_slope(t, p)
-        x3 = total.x
-        # -(t+p) = (x3, -y(t+p) - a1 x3 - a3) lies on L, and x3 is the root
-        # of prod (x - x_i) that x(t) and x(p) leave
-        if (
-            lam is None
-            or -total.y - a1 * x3 - a3 != t.y + lam * (x3 - t.x)
-            or t.x + p.x + x3 != lam * lam + a1 * lam - curve.a2
-        ):
-            raise NonConstantCocycleValue("the pairing line does not meet E at t, p, -(t+p)")
-        nu = t.y - lam * t.x
-        roots = (t.x, p.x, x3)
-        at_infinity = (Fraction(-1), 1)
-    b, order = at_infinity
-    cycle = cocycle._cycle
-    for q in cycle[1:]:
-        if vertical:
-            c, e = _lc_vertical(curve, q, t.x)
-            b /= c
-            order -= e
-        else:
-            c, e = _lc_vertical(curve, q, x3)
-            d, f = _lc_line(curve, q, lam, nu, roots)
-            b *= c / d
-            order += e - f
-    if order:
-        raise NonConstantCocycleValue("the orders of the pairing function on <t> do not sum to 0")
-    return b ** (cocycle.m // len(cycle))
+    c, k = _period_product(cocycle, p)
+    # for m = n, c is b, and no power is taken
+    return c if k == 1 else c**k
 
 
 def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebraClass:
     """The Brauer class paired with the point p, as a cyclic algebra over ext.
 
-    ext must be a degree-m extension descriptor; the class scalar b comes
-    from pairing_scalar and is reported raw and in m-th-power-free form.
-    b is factored once, for both the normal form and the class's primes.
+    ext must be a degree-m extension descriptor; the class scalar b = c^k
+    of pairing_scalar is reported raw and in m-th-power-free form.  Only the
+    period product c is factored, once: b's exponents are k times c's, for
+    both the normal form and the class's primes.
     """
     if ext.degree != cocycle.m:
         raise ValueError(
             f"extension degree {ext.degree} does not match cocycle order {cocycle.m}"
         )
-    b = pairing_scalar(cocycle, p)
-    exps = rational_exponents(b)
+    c, k = _period_product(cocycle, p)
+    b = c**k
+    exps = {q: e * k for q, e in rational_exponents(c).items()}
     return CyclicAlgebraClass(
         cocycle.m, ext, b, mth_power_free_part(b, cocycle.m, exps), tuple(exps)
     )

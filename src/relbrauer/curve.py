@@ -5,7 +5,11 @@ the chord-tangent group law, point orders, and admissible changes of
 variables down to a short integral model.  The group law and the membership
 test run on integers: the numerators and denominators of the coordinates,
 and the coefficients scaled to integers (WeierstrassCurve._scaled); each
-coordinate of a sum is one Fraction built from them.
+coordinate of a sum is one Fraction built from them.  The invariants run on
+the weighted integral model L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6, with L the
+common denominator: its discriminant decides singularity, and its c4 and c6
+give the short integral model in one step (Silverman, AEC, III.1; Cremona,
+Algorithms for Modular Elliptic Curves, 3.1).
 """
 
 from __future__ import annotations
@@ -80,36 +84,51 @@ def equation_text(a1: str, a2: str, a3: str, a4: str, a6: str) -> str:
     return f"{lhs} = {side('x^3', [(a2, 'x^2'), (a4, 'x'), (a6, '')])}"
 
 
+def _integral_b(scaled: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """b2, b4, b6, b8 of the integral model L*a1, L^2*a2, L^3*a3, L^4*a4,
+    L^6*a6, from _scaled = (L, L*a1, ..., L*a6)."""
+    scale, a1, a2, a3, a4, a6 = scaled
+    s2 = scale * scale
+    a2, a3, a4, a6 = scale * a2, s2 * a3, s2 * scale * a4, s2 * s2 * scale * a6
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, b8
+
+
 class WeierstrassCurve(_Value):
     """A Weierstrass model over Q.
 
     _scaled holds (L, L*a1, L*a2, L*a3, L*a4, L*a6) as integers, with L the
     least common denominator of the coefficients, for is_on_curve, add and
     chord_slope, which compute on it and on the coordinates' numerators and
-    denominators; it is not compared.
+    denominators.  Weighting a_i by L^i instead gives the integral model
+    L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6 (the change of variables with
+    u = 1/L); its b-invariants are L^2*b2, L^4*b4, L^6*b6, L^8*b8, and _disc
+    holds its discriminant, the integer L^12 * discriminant().  Neither slot
+    is compared.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_scaled")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_scaled", "_disc")
     _fields = __slots__[:5]
 
     def __init__(self, a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fraction):
         coeffs = tuple(map(Fraction, (a1, a2, a3, a4, a6)))
         scale = lcm(*(a.denominator for a in coeffs))
-        self._set(*coeffs, (scale, *(a.numerator * (scale // a.denominator) for a in coeffs)))
-        if self.discriminant() == 0:
+        scaled = (scale, *(a.numerator * (scale // a.denominator) for a in coeffs))
+        b2, b4, b6, b8 = _integral_b(scaled)
+        self._set(*coeffs, scaled, -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
+        if not self._disc:
             raise SingularCurve(f"discriminant vanishes for {self.equation()}")
 
     def b_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
+        b2, b4, b6, b8 = _integral_b(self._scaled)
+        l2 = self._scaled[0] ** 2
+        return Fraction(b2, l2), Fraction(b4, l2**2), Fraction(b6, l2**3), Fraction(b8, l2**4)
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return Fraction(self._disc, self._scaled[0] ** 12)
 
     def equation(self) -> str:
         return equation_text(*(str(a) for a in (self.a1, self.a2, self.a3, self.a4, self.a6)))
@@ -311,32 +330,37 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     """Transform to y^2 = x^3 + A x + B with integer A, B.
 
     Returns (short_curve, phi) where phi.push_point maps points of c onto the
-    short model.  Already-short integral curves come back unchanged with the
+    short model.  Already-short integral curves come back equal, with the
     identity map.
+
+    With c4 = b2^2 - 24 b4 and c6 = -b2^3 + 36 b2 b4 - 216 b6 of the integral
+    model in _scaled (Silverman, AEC, III.1), completing the square and the
+    cube (s = -a1/2, then r = -b2/12) gives y^2 = x^3 - c4/(48 L^4) x -
+    c6/(864 L^6).  Scaling by u = 1/v, with v the least integer whose p-adic
+    valuation clears both denominators at each of their primes p, makes A
+    and B integers.  Composed, the map is (1/v, r, s, -a3/2 + s r).
     """
-    m1 = ModelMap(1, 0, -c.a1 / 2, -c.a3 / 2)
-    c1 = m1.transform_curve(c)
-    m2 = ModelMap(1, -c1.a2 / 3, 0, 0)
-    c2 = m2.transform_curve(c1)
-    scale = 1
-    primes: set[int] = set()
-    for den in (c2.a4.denominator, c2.a6.denominator):
-        if den > 1:
-            primes.update(factor(den)[1])
-    for p in sorted(primes):
-        v4 = _padic_valuation(c2.a4.denominator, p)
-        v6 = _padic_valuation(c2.a6.denominator, p)
-        scale *= p ** max(_ceil_div(v4, 4), _ceil_div(v6, 6))
-    m3 = ModelMap(Fraction(1, scale), 0, 0, 0)
-    c3 = m3.transform_curve(c2)
-    assert c3.a1 == 0 and c3.a2 == 0 and c3.a3 == 0
-    assert c3.a4.denominator == 1 and c3.a6.denominator == 1
-    return c3, m1.then(m2).then(m3)
-
-
-def _padic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    scale, a1, _, a3, _, _ = c._scaled
+    b2, b4, b6, _ = _integral_b(c._scaled)
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    l2 = scale * scale
+    den4, den6 = 48 * l2 * l2, 864 * l2 * l2 * l2
+    # the prime exponents of the denominators of -c4/den4 and -c6/den6
+    v4, v6 = ({} if d == 1 else factor(d)[1] for d in (den4 // gcd(c4, den4), den6 // gcd(c6, den6)))
+    v = 1
+    for p in v4.keys() | v6.keys():
+        v *= p ** max(_ceil_div(v4.get(p, 0), 4), _ceil_div(v6.get(p, 0), 6))
+    v2 = v * v
+    A, rest4 = divmod(-c4 * v2 * v2, den4)
+    B, rest6 = divmod(-c6 * v2 * v2 * v2, den6)
+    if rest4 or rest6:
+        raise ArithmeticError(f"the short model of {c.equation()} is not integral")
+    # s = -a1/2, r = -b2/12 and t = -a3/2 + s r, over 2L, 12 L^2 and 24 L^3
+    phi = ModelMap(
+        Fraction(1, v),
+        Fraction(-b2, 12 * l2),
+        Fraction(-a1, 2 * scale),
+        Fraction(a1 * b2 - 12 * l2 * a3, 24 * l2 * scale),
+    )
+    return WeierstrassCurve(0, 0, 0, A, B), phi

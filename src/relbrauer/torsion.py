@@ -114,13 +114,14 @@ def _multiples_if_torsion(short: WeierstrassCurve, p: CurvePoint) -> list[CurveP
 
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     short, phi = to_short_integral(curve)
-    a4 = int(short.a4)
-    a6 = int(short.a6)
-    disc = short.discriminant()
-    assert disc.denominator == 1
+    # on an integral model _scaled holds the coefficients and _disc is the
+    # integer discriminant
+    scale, _, _, _, a4, a6 = short._scaled
+    if scale != 1:
+        raise ArithmeticError(f"the short model {short.equation()} is not integral")
     # orders on the short model, which the isomorphism phi keeps
     orders: dict[CurvePoint, int] = {}
-    for y in _sieve(_square_divisor_roots(int(disc)), a4, a6):
+    for y in _sieve(_square_divisor_roots(short._disc), a4, a6):
         for x in _integer_roots_depressed_cubic(a4, a6 - y * y):
             p = CurvePoint.affine(x, y)
             if p in orders:

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -52,3 +53,22 @@ def add_calls(monkeypatch):
 
     monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
     return calls
+
+
+@pytest.fixture
+def fraction_arithmetic_refused(monkeypatch):
+    """A context manager inside which every arithmetic operator of Fraction
+    raises; building a Fraction and comparing two still work."""
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic where integers were expected")
+
+    @contextmanager
+    def refused():
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                         "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__"):
+                patch.setattr(F, name, refuse)
+            yield
+
+    return refused

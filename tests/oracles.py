@@ -2,11 +2,14 @@
 
 Each is an independent route to a fact the pipeline computes another way:
 zeros and poles of a function by evaluation, equality of quaternion
-classes by Hilbert symbols, the pairing scalar as the norm of a function,
-the group law in Fraction arithmetic, and the rational torsion subgroup by
-the full Nagell-Lutz search.
+classes by Hilbert symbols, the pairing scalar as the norm of a function
+and by its closed forms in Fraction arithmetic, the group law, the
+invariants and the short integral model in Fraction arithmetic, and the
+rational torsion subgroup by the full Nagell-Lutz search.  seeded_models
+gives the curves and points the Fraction oracles are compared on.
 """
 
+import random
 from fractions import Fraction
 
 from relbrauer import (
@@ -17,7 +20,14 @@ from relbrauer import (
     cocycle_function,
     quaternion_is_split,
 )
-from relbrauer.curve import INFINITY, ORDER_BOUND, CurvePoint, to_short_integral
+from relbrauer.curve import (
+    INFINITY,
+    ORDER_BOUND,
+    CurvePoint,
+    ModelMap,
+    WeierstrassCurve,
+    to_short_integral,
+)
 from relbrauer.torsion import _integer_roots_depressed_cubic, _presentation, _square_divisor_roots
 
 
@@ -136,3 +146,163 @@ def torsion_subgroup_by_full_search(curve):
     )
     orders = {p: curve.point_order(p, ORDER_BOUND) for p in elements}
     return _presentation(curve, tuple(elements), orders)
+
+
+TORSION_CURVES = [
+    (0, -1, 1, -10, -20),  # E1, Z/5
+    (1, 1, 1, -10, -10),  # E2, Z/4 x Z/2
+    (1, -1, 1, -3, 3),  # 26b1, Z/7
+    (1, -1, 1, -14, 29),  # 54b3, Z/9
+    (1, -1, 1, -122, 1721),  # 90c3, Z/12
+    (0, 0, 0, -1, 0),  # y^2 = x^3 - x, Z/2 x Z/2
+]
+
+
+def seeded_models():
+    """Each torsion curve on its own model, then 40 seeded models with
+    fractional a1 ... a6, each with its torsion points and a few multiples of
+    a point of infinite order where the curve has one at hand."""
+    from relbrauer import torsion_subgroup
+
+    rng = random.Random(10)
+
+    def rat():
+        return Fraction(rng.randint(-30, 30), rng.randint(2, 9))
+
+    bases = []
+    for coeffs in TORSION_CURVES:
+        base = WeierstrassCurve(*coeffs)
+        bases.append((base, list(torsion_subgroup(base).elements)))
+    rank_one = WeierstrassCurve(0, 0, 0, -2, 2)
+    p = CurvePoint(Fraction(1), Fraction(1))
+    bases.append((rank_one, [INFINITY, p, *(rank_one.multiply(n, p) for n in (2, 3, -2))]))
+    yield from bases
+    for _ in range(40):
+        base, points = rng.choice(bases)
+        phi = ModelMap(rat() or Fraction(1, 2), rat(), rat(), rat())
+        yield phi.transform_curve(base), [phi.push_point(q) for q in points]
+
+
+def b_invariants_by_fractions(curve):
+    """b2, b4, b6, b8 (Silverman, AEC, III.1) in Fraction arithmetic."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, b8
+
+
+def discriminant_by_fractions(curve):
+    b2, b4, b6, b8 = b_invariants_by_fractions(curve)
+    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def _prime_exponents(n):
+    """{p: v_p(n)} for a positive integer n, by trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def to_short_integral_by_chain(c):
+    """The short integral model and map by three admissible changes of
+    variables in Fraction arithmetic: complete the square, then the cube,
+    then scale by the least integer that clears the denominators of a4 and
+    a6 prime by prime."""
+    m1 = ModelMap(1, 0, -c.a1 / 2, -c.a3 / 2)
+    c1 = m1.transform_curve(c)
+    m2 = ModelMap(1, -c1.a2 / 3, 0, 0)
+    c2 = m2.transform_curve(c1)
+    v4 = _prime_exponents(c2.a4.denominator)
+    v6 = _prime_exponents(c2.a6.denominator)
+    scale = 1
+    for p in v4.keys() | v6.keys():
+        scale *= p ** max(-(-v4.get(p, 0) // 4), -(-v6.get(p, 0) // 6))
+    m3 = ModelMap(Fraction(1, scale), 0, 0, 0)
+    return m3.transform_curve(c2), m1.then(m2).then(m3)
+
+
+def _fy(curve, q):
+    return 2 * q.y + curve.a1 * q.x + curve.a3
+
+
+def _fx(curve, q):
+    return curve.a1 * q.y - 3 * q.x * q.x - 2 * curve.a2 * q.x - curve.a4
+
+
+def _lc_vertical(curve, q, a):
+    """(lc_q, ord_q) of x - a at the affine point q."""
+    if q.x != a:
+        return q.x - a, 0
+    fy = _fy(curve, q)
+    return (fy, 1) if fy else (-_fx(curve, q), 2)
+
+
+def _lc_line(curve, q, lam, nu, roots):
+    """(lc_q, ord_q) of L = y - lam*x - nu at the affine point q, where L
+    meets the curve at the x-coordinates roots."""
+    value = q.y - lam * q.x - nu
+    if value:
+        return value, 0
+    fy = _fy(curve, q)
+    if not fy:
+        return -_fx(curve, q), 1
+    lc, e = 1 / fy, 0
+    for xi in roots:
+        if xi == q.x:
+            lc, e = lc * fy, e + 1
+        else:
+            lc *= q.x - xi
+    return lc, e
+
+
+def pairing_scalar_by_fractions(cocycle, p):
+    """The scalar b of (cocycle, p) as pairing_scalar defines it, the product
+    of the closed-form leading coefficients of f_1 over one period of <t>,
+    raised to m/n, with every closed form in Fraction arithmetic; the same
+    checks raise NonConstantCocycleValue."""
+    curve = cocycle.curve
+    curve._require(p)
+    t = cocycle.t
+    if t.is_infinity or p.is_infinity:
+        return Fraction(1)
+    a1, a3 = curve.a1, curve.a3
+    total = curve.add(t, p)
+    vertical = total.is_infinity
+    if vertical:
+        if p.x != t.x or p.y + t.y + a1 * t.x + a3 != 0:
+            raise NonConstantCocycleValue("t + p = O but p is not -t")
+        b, order = Fraction(1), 2
+    else:
+        lam = chord_slope_by_fractions(curve, t, p)
+        x3 = total.x
+        if (
+            lam is None
+            or -total.y - a1 * x3 - a3 != t.y + lam * (x3 - t.x)
+            or t.x + p.x + x3 != lam * lam + a1 * lam - curve.a2
+        ):
+            raise NonConstantCocycleValue("the pairing line does not meet E at t, p, -(t+p)")
+        nu = t.y - lam * t.x
+        roots = (t.x, p.x, x3)
+        b, order = Fraction(-1), 1
+    cycle = cocycle._cycle
+    for q in cycle[1:]:
+        if vertical:
+            c, e = _lc_vertical(curve, q, t.x)
+            b /= c
+            order -= e
+        else:
+            c, e = _lc_vertical(curve, q, x3)
+            d, f = _lc_line(curve, q, lam, nu, roots)
+            b *= c / d
+            order += e - f
+    if order:
+        raise NonConstantCocycleValue("the orders of the pairing function on <t> do not sum to 0")
+    return b ** (cocycle.m // len(cycle))

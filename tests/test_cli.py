@@ -296,20 +296,85 @@ def test_exit_code_nonconstant_cocycle(monkeypatch, capsys):
     # inside the pairing, add hands back -(t + p): the pairing line misses
     # that point, so the pairing function would have the wrong divisor, and
     # the pairing's own line check must refuse it with exit code 3
-    add, pairing_scalar = WeierstrassCurve.add, cocycle_mod.pairing_scalar
+    add, period_product = WeierstrassCurve.add, cocycle_mod._period_product
 
     def pairing_with_wrong_sum(cocycle, p):
         with monkeypatch.context() as patch:
             patch.setattr(WeierstrassCurve, "add", lambda self, a, b: self.negate(add(self, a, b)))
-            return pairing_scalar(cocycle, p)
+            return period_product(cocycle, p)
 
-    monkeypatch.setattr(cocycle_mod, "pairing_scalar", pairing_with_wrong_sum)
+    monkeypatch.setattr(cocycle_mod, "_period_product", pairing_with_wrong_sum)
     code = main(
         ["pairing", "--curve", "0,-1,1,-10,-20", "--t", "5,5", "--m", "5",
          "--p", "5,5", "--ext", "cyclo:11:10"]
     )
     assert code == 3
     assert "does not meet" in capsys.readouterr().err
+
+
+def test_exit_code_short_model_not_integral(monkeypatch, capsys):
+    import relbrauer.curve as curve_mod
+
+    # a factor that finds no prime leaves the scaling at 1, so the short
+    # model of y^2 = x^3 + x/4 keeps a4 = 1/4: a real check, not an assert
+    monkeypatch.setattr(curve_mod, "factor", lambda n: (1, {}))
+    assert main(["torsion", "--curve", "0 0 0 1/4 0"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: the short model of y^2 = x^3 + 1/4*x is not integral\n"
+    )
+
+
+def test_exit_code_torsion_model_not_integral(monkeypatch, capsys):
+    import relbrauer.torsion as torsion_mod
+    from relbrauer import IDENTITY_MAP
+
+    # the search needs an integral model, and checks that it got one
+    monkeypatch.setattr(torsion_mod, "to_short_integral", lambda c: (c, IDENTITY_MAP))
+    assert main(["torsion", "--curve", "[1/4,0]"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: the short model y^2 = x^3 + 1/4*x is not integral\n"
+    )
+
+
+def test_exit_code_impossible_torsion_group(monkeypatch, capsys):
+    import relbrauer.torsion as torsion_mod
+
+    # a search that takes each torsion point of E1 it meets for one of order
+    # 2, and so keeps no multiple, assembles O and two such points: a group
+    # of order 3 and exponent 2 cannot exist
+    multiples = torsion_mod._multiples_if_torsion
+    monkeypatch.setattr(
+        torsion_mod, "_multiples_if_torsion", lambda c, p: (multiples(c, p) or [])[:1] or None
+    )
+    assert main(["torsion", "--curve", "0 -1 1 -10 -20"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: torsion of order 3 with exponent 2 is impossible over Q\n"
+    )
+
+
+def test_reported_orders_equal_point_order_on_the_pools():
+    # a paired point of <t> takes its order from the walk, any other point
+    # from point_order; both must give point_order's answer
+    from relbrauer.cli import _job_from_args, _point_order
+    from relbrauer.cocycle import RationalCocycle
+
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    seen = {}
+    for pool in ("highm_pairing", "cli_light", "decide_m2"):
+        total = in_t = 0
+        for entries in json.loads((reference / f"{pool}.json").read_text()).values():
+            for entry in entries:
+                job = _job_from_args(entry["argv"])
+                if job.command == "torsion" or (job.command == "relbr" and job.gens_auto):
+                    continue
+                coc = RationalCocycle(job.curve, job.m, job.t)
+                for p in [job.p] if job.command == "pairing" else job.gens:
+                    assert _point_order(coc, p) == job.curve.point_order(p), (entry["argv"], p)
+                    total += 1
+                    in_t += coc.order_of(p) is not None
+        seen[pool] = (in_t, total)
+    # (points of <t>, paired points) per pool
+    assert seen == {"highm_pairing": (540, 588), "cli_light": (288, 588), "decide_m2": (418, 1200)}
 
 
 def test_render_text_round_trip(order5_curve):

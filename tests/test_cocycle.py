@@ -594,3 +594,107 @@ def test_pairing_and_status_factor_b_once(monkeypatch, coeffs, t, m, gens, ext, 
         expected += [n for n in (abs(b.numerator), b.denominator) if n != 1]
     assert sorted(calls) == sorted(expected)
     assert presentation.group_invariants == invariants
+
+
+def _torsion_pairings():
+    """(cocycle, p) for every torsion point t != O of each seeded model, with
+    m = ord(t), and every torsion point p of that model."""
+    from oracles import seeded_models
+
+    for curve, points in seeded_models():
+        torsion = [q for q in points if curve.point_order(q) is not None]
+        for t in torsion:
+            if not t.is_infinity:
+                coc = RationalCocycle(curve, curve.point_order(t), t)
+                yield from ((coc, p) for p in torsion)
+
+
+def test_pairing_scalar_matches_fraction_closed_forms():
+    # on the torsion curves and 40 seeded models with fractional a1 ... a6,
+    # every pair of torsion points, with m = ord(t) and with m = 2 ord(t)
+    from oracles import pairing_scalar_by_fractions
+
+    fractional, in_t = 0, 0
+    for coc, p in _torsion_pairings():
+        fractional += coc.curve._scaled[0] > 1
+        in_t += p in coc._cycle
+        assert pairing_scalar(coc, p) == pairing_scalar_by_fractions(coc, p)
+        twice = RationalCocycle(coc.curve, 2 * coc.m, coc.t)
+        assert pairing_scalar(twice, p) == pairing_scalar_by_fractions(twice, p)
+    assert fractional >= 1500 and in_t >= 1500  # 1,910 and 1,544 of 2,244
+
+
+def test_pairing_scalar_makes_no_fraction_arithmetic(fraction_arithmetic_refused):
+    # the closed forms and the checks around them run on integers: every
+    # Fraction operator raises while pairing_scalar runs (m = ord(t), so
+    # no power is taken)
+    cases = list(_torsion_pairings())
+    expected = [pairing_scalar(coc, p) for coc, p in cases]
+    with fraction_arithmetic_refused():
+        got = [pairing_scalar(coc, p) for coc, p in cases]
+    assert got == expected
+
+
+def test_order_of_reads_the_walk():
+    # [k]t has order n / gcd(k, n); points outside <t> give None
+    from oracles import seeded_models
+
+    seen = 0
+    for curve, points in seeded_models():
+        for t in points:
+            n = curve.point_order(t)
+            if n is None:
+                continue
+            coc = RationalCocycle(curve, n, t)
+            for p in points:
+                order = coc.order_of(p)
+                if p in coc._cycle:
+                    assert order == curve.point_order(p)
+                    seen += 1
+                else:
+                    assert order is None
+    assert seen >= 1000
+
+
+def test_relbr_gens_take_their_orders_from_the_walk(add_calls):
+    # the 26b1 m = 7 relbr --gens job of the highm_pairing pool: the walk of
+    # <t> (6 adds) and one add per pairing, and none for the orders
+    from relbrauer.cli import _job_from_args, run
+
+    argv = ["relbr", "--curve", "1 -1 1 -3 3", "--t=-1,-2", "--m", "7",
+            "--ext", "cyclo:29:12", "--gens=-1,-2;-1,2;1,-2"]
+    job = _job_from_args(argv)
+    add_calls.clear()
+    report = run(job)
+    assert len(add_calls) == 6 + 3
+    assert [e["order"] for e in report["results"]] == [
+        job.curve.point_order(p) for p in job.gens
+    ] == [7, 7, 7]
+
+
+def test_brauer_pairing_factors_c_not_its_power(monkeypatch):
+    # E1 with t = p = (5, 5) and m = 50,000 over cyclo:150001:h, h = g^m for
+    # a primitive root g: c = -1/11 and b = c^10000, but only c is factored
+    import relbrauer.brauer as brauer_mod
+    import relbrauer.exact as exact_mod
+
+    n, m = 150001, 50000
+    g = next(g for g in range(2, n) if all(pow(g, (n - 1) // q, n) != 1 for q in (2, 3, 5)))
+    ext = Cyclotomic.from_generators(n, (pow(g, m, n),))
+    curve = WeierstrassCurve(0, -1, 1, -10, -20)
+    t = CurvePoint(F(5), F(5))
+    coc = RationalCocycle(curve, m, t)
+    calls = []
+    factor = exact_mod.factor
+
+    def counted_factor(k, **kwargs):
+        calls.append(k)
+        return factor(k, **kwargs)
+
+    monkeypatch.setattr(exact_mod, "factor", counted_factor)
+    monkeypatch.setattr(brauer_mod, "factor", counted_factor)
+    algebra = brauer_pairing(coc, t, ext)
+    assert calls and all(k.bit_length() <= 64 for k in calls)
+    assert algebra.b_raw == F(1, 11**10000) and algebra.b_normalized == 11**40000
+    assert algebra.primes == (11,)
+    assert class_status(algebra).witness == 11

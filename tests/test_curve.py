@@ -16,6 +16,8 @@ from relbrauer import (
 )
 from relbrauer.curve import equation_text
 
+from oracles import seeded_models
+
 
 def test_singular_models_rejected():
     with pytest.raises(SingularCurve):
@@ -124,45 +126,12 @@ def test_is_on_curve_matches_fraction_formula(order5_curve, mixed_torsion_curve)
     assert seen[True] >= 200 and seen[False] >= 600
 
 
-_TORSION_CURVES = [
-    (0, -1, 1, -10, -20),  # E1, Z/5
-    (1, 1, 1, -10, -10),  # E2, Z/4 x Z/2
-    (1, -1, 1, -3, 3),  # 26b1, Z/7
-    (1, -1, 1, -14, 29),  # 54b3, Z/9
-    (1, -1, 1, -122, 1721),  # 90c3, Z/12
-    (0, 0, 0, -1, 0),  # y^2 = x^3 - x, Z/2 x Z/2
-]
-
-
-def _seeded_models():
-    """Each torsion curve on its own model, then 40 seeded models with
-    fractional a1 ... a6, each with its torsion points and a few multiples of
-    a point of infinite order where the curve has one at hand."""
-    rng = random.Random(10)
-
-    def rat():
-        return F(rng.randint(-30, 30), rng.randint(2, 9))
-
-    bases = []
-    for coeffs in _TORSION_CURVES:
-        base = WeierstrassCurve(*coeffs)
-        bases.append((base, list(torsion_subgroup(base).elements)))
-    rank_one = WeierstrassCurve(0, 0, 0, -2, 2)
-    p = CurvePoint(F(1), F(1))
-    bases.append((rank_one, [INFINITY, p, *(rank_one.multiply(n, p) for n in (2, 3, -2))]))
-    yield from bases
-    for _ in range(40):
-        base, points = rng.choice(bases)
-        phi = ModelMap(rat() or F(1, 2), rat(), rat(), rat())
-        yield phi.transform_curve(base), [phi.push_point(q) for q in points]
-
-
 def test_add_matches_fraction_oracle():
     from oracles import add_by_fractions, chord_slope_by_fractions
 
     seen = dict.fromkeys(["O + P", "P + (-P)", "2-torsion doubled", "chord", "tangent"], 0)
     fractional = 0
-    for curve, points in _seeded_models():
+    for curve, points in seeded_models():
         coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
         fractional += any(a.denominator > 1 for a in coeffs)
         for p in points:
@@ -193,7 +162,7 @@ def test_add_makes_no_fraction_arithmetic(monkeypatch):
     # every Fraction operator raises while add and chord_slope run
     pairs = [
         (curve, p, q)
-        for curve, points in _seeded_models()
+        for curve, points in seeded_models()
         for p in points
         for q in points
     ]
@@ -216,6 +185,40 @@ def test_add_makes_no_fraction_arithmetic(monkeypatch):
             for curve, p, q in pairs
         ]
     assert got == expected and got_slopes == slopes
+
+
+def test_invariants_match_fraction_oracle():
+    from oracles import b_invariants_by_fractions, discriminant_by_fractions
+
+    fractional = 0
+    for curve, _ in seeded_models():
+        fractional += curve._scaled[0] > 1
+        assert curve.b_invariants() == b_invariants_by_fractions(curve)
+        disc = curve.discriminant()
+        assert disc == discriminant_by_fractions(curve) and type(disc) is F
+        assert curve._disc == disc * curve._scaled[0] ** 12
+    assert fractional >= 40
+
+
+def test_to_short_integral_matches_chain_oracle():
+    from oracles import to_short_integral_by_chain
+
+    for curve, points in seeded_models():
+        short, phi = to_short_integral(curve)
+        expected_short, expected_phi = to_short_integral_by_chain(curve)
+        assert short == expected_short and phi == expected_phi
+        assert (short.a1, short.a2, short.a3) == (0, 0, 0) and short._scaled[0] == 1
+        assert all(short.is_on_curve(phi.push_point(q)) for q in points)
+
+
+def test_curve_construction_makes_no_fraction_arithmetic(fraction_arithmetic_refused):
+    # the discriminant and the short integral model come from the integers
+    # of _scaled: every Fraction operator raises while they are built
+    coeffs = [(c.a1, c.a2, c.a3, c.a4, c.a6) for c, _ in seeded_models()]
+    expected = [(WeierstrassCurve(*a), to_short_integral(WeierstrassCurve(*a))) for a in coeffs]
+    with fraction_arithmetic_refused():
+        got = [(WeierstrassCurve(*a), to_short_integral(WeierstrassCurve(*a))) for a in coeffs]
+    assert got == expected
 
 
 def test_point_display():
