@@ -19,7 +19,14 @@ from fractions import Fraction
 from math import gcd
 
 from .curve import CurvePoint
-from .exact import _Value, factor, is_mth_power, is_probable_prime, rational_exponents
+from .exact import (
+    _Value,
+    factor,
+    is_mth_power,
+    is_probable_prime,
+    rational_exponents,
+    split_prime_power,
+)
 
 INFINITE_PLACE = "infinity"
 
@@ -111,29 +118,39 @@ class Quadratic(_Value):
         return f"Q(sqrt({self.d}))"
 
 
-def _check_closed(members: list[int], member_set: set[int], n: int) -> None:
-    """Raise unless the sorted residues are closed under multiplication mod n.
+def _subgroup(gens, n: int, member_set: set[int] | None = None) -> set[int]:
+    """The subgroup of (Z/n)* generated by the residues gens, walked by cosets.
 
-    Closure is checked against a greedy generating set: each member outside
-    the span so far is a generator, and the span grows by multiplication
-    with it.  Every generator at least doubles the span, so this takes at
-    most 2|H| products; the span ends up equal to the members exactly when
-    they are closed.  Memory is O(|H|), not O(n).
+    H is abelian, so adjoining g to the span S adds the cosets g S, g^2 S,
+    ..., g^(r-1) S, where r is the least exponent with g^r in S; the powers
+    of g come from one loop and each element is made once.  With member_set
+    given, raise as soon as a power or a coset leaves it: the residues there
+    are then not closed under multiplication.  Memory is O(|H|), not O(n).
     """
-    in_span = {1}
-    span = [1]
-    for g in members:
-        if g in in_span:
+    span = {1}
+    for g in gens:
+        if g in span:
             continue
-        # the loop also visits the products it appends, so the span ends up
-        # closed under multiplication by g
-        for a in span:
-            h = a * g % n
-            if h not in member_set:
+        powers = []
+        x = g
+        while x not in span:
+            if member_set is not None and x not in member_set:
                 raise ValueError("residue list is not closed under multiplication")
-            if h not in in_span:
-                in_span.add(h)
-                span.append(h)
+            powers.append(x)
+            x = x * g % n
+        if len(span) == 1:
+            new = powers  # the cosets of {1} are the powers themselves
+        elif member_set is None:
+            new = [a * x % n for x in powers for a in span]
+        else:
+            new = []
+            for x in powers:
+                coset = [a * x % n for a in span]
+                if not member_set.issuperset(coset):
+                    raise ValueError("residue list is not closed under multiplication")
+                new += coset
+        span.update(new)
+    return span
 
 
 def _unit_generators(n: int, exps: dict[int, int]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -166,12 +183,15 @@ class Cyclotomic(_Value):
     """A cyclic subfield of Q(zeta_N): the fixed field of a subgroup H.
 
     H is a subgroup of G = (Z/N)* with cyclic quotient; the field degree is
-    phi(N) / |H|.  Validation checks closure with at most 2|H| products and
-    then reads cyclicity off the CRT generators g_i of G: G/H is cyclic iff
-    the lcm of the orders of the cosets g_i H, its exponent, is |G| / |H|.
-    That takes a few modular powers per generator and yields sigma, a residue
-    whose coset generates G/H.  primes holds the primes of N, factored once.
-    Only conductor and subgroup are compared.
+    phi(N) / |H|.  Cyclotomic(N, residues) takes H as a list and checks it:
+    the members must be units (their product is), contain 1, and be closed,
+    which one coset walk of the span of the members decides (_subgroup).
+    from_generators takes H by generators and walks it once.  Both then read
+    cyclicity off the CRT generators g_i of G: G/H is cyclic iff the lcm of
+    the orders of the cosets g_i H, its exponent, is |G| / |H|.  That takes
+    a few modular powers per generator and yields sigma, a residue whose
+    coset generates G/H.  primes holds the primes of N, factored once.  Only
+    conductor and subgroup are compared.
     """
 
     __slots__ = ("conductor", "subgroup", "degree", "primes", "sigma")
@@ -186,16 +206,26 @@ class Cyclotomic(_Value):
         n = self.conductor
         if not isinstance(n, int) or n < 3:
             raise ValueError("conductor must be an integer >= 3")
-        members = sorted({h % n for h in self.subgroup})
-        if not members:
+        member_set = {h % n for h in self.subgroup}
+        if not member_set:
             raise ValueError("subgroup is empty")
+        members = sorted(member_set)
+        # the product is a unit iff every member is; only then name the first
+        product = 1
         for h in members:
-            if gcd(h, n) != 1:
-                raise ValueError(f"subgroup element {h} is not coprime to {n}")
-        if 1 not in members:
+            product = product * h % n
+        if gcd(product, n) != 1:
+            bad = next(h for h in members if gcd(h, n) != 1)
+            raise ValueError(f"subgroup element {bad} is not coprime to {n}")
+        # 0 is no unit, so 1 is the least member when it is one
+        if members[0] != 1:
             raise ValueError("subgroup does not contain 1")
-        member_set = set(members)
-        _check_closed(members, member_set, n)
+        _subgroup(members, n, member_set)
+        self._finish(n, tuple(members), member_set)
+
+    def _finish(self, n: int, members: tuple[int, ...], member_set: set[int]) -> None:
+        """Fill every slot from a subgroup H of units, given sorted and as a
+        set; raise unless G/H is cyclic."""
         _, exps = factor(n)
         phi, sigma, order = 1, 1, 1  # sigma's coset has order `order`
         for g, g_order, g_primes in _unit_generators(n, exps):
@@ -213,30 +243,26 @@ class Cyclotomic(_Value):
             order = u * v
         if order != phi // len(members):
             raise ValueError("the quotient by the subgroup is not cyclic")
-        object.__setattr__(self, "subgroup", tuple(members))
-        object.__setattr__(self, "degree", order)
-        object.__setattr__(self, "primes", tuple(sorted(exps)))
-        object.__setattr__(self, "sigma", sigma)
+        self._set(n, members, order, tuple(sorted(exps)), sigma)
 
     @classmethod
     def from_generators(cls, conductor: int, generators) -> "Cyclotomic":
-        """Descriptor with H the subgroup generated by the given residues."""
+        """Descriptor with H the subgroup generated by the given residues.
+
+        The generators must be units mod N.  H is walked once, by cosets;
+        a span of units is a subgroup by construction, so none of the list
+        checks of Cyclotomic(N, residues) runs again, only cyclicity.
+        """
         if not isinstance(conductor, int) or conductor < 3:
             raise ValueError("conductor must be an integer >= 3")
-        closure = {1}
-        frontier = [1]
         gens = [g % conductor for g in generators]
         for g in gens:
             if gcd(g, conductor) != 1:
                 raise ValueError(f"generator {g} is not coprime to {conductor}")
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = a * g % conductor
-                if b not in closure:
-                    closure.add(b)
-                    frontier.append(b)
-        return cls(conductor, tuple(sorted(closure)))
+        elements = _subgroup(gens, conductor)
+        ext = object.__new__(cls)
+        ext._finish(conductor, tuple(sorted(elements)), elements)
+        return ext
 
     def coset_index(self, a: int) -> int:
         """The k in Z/degree with the unit a mod N in sigma^k H."""
@@ -259,15 +285,9 @@ class Cyclotomic(_Value):
 
 def _valuation_and_unit(r: Fraction, p: int) -> tuple[int, int, int]:
     # returns (v_p(r), unit numerator, unit denominator)
-    num, den = r.numerator, r.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, num, den
+    v, num = split_prime_power(r.numerator, p)
+    w, den = split_prime_power(r.denominator, p)
+    return v - w, num, den
 
 
 def _legendre_unit(num: int, den: int, p: int) -> int:
@@ -376,8 +396,7 @@ class CyclicAlgebraClass(_Value):
             for p in primes:
                 if p < 2:
                     raise ValueError(f"{p} is not a prime")
-                while rest % p == 0:
-                    rest //= p
+                rest = split_prime_power(rest, p)[1]
             if rest != 1:
                 raise ValueError("primes do not cover the numerator and denominator of b_raw")
         self._set(m, ext, b_raw, b_normalized, primes)

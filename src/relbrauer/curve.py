@@ -290,9 +290,21 @@ class ModelMap(_Value):
     def pull_point(self, p: CurvePoint) -> CurvePoint:
         if p.is_infinity:
             return INFINITY
-        x = self.u**2 * p.x + self.r
-        y = self.u**3 * p.y + self.s * self.u**2 * p.x + self.t
-        return CurvePoint(x, y)
+        # x = u^2 x' + r and y = u^3 y' + s u^2 x' + t on numerators and
+        # denominators, one Fraction per coordinate
+        un, ud = self.u.numerator, self.u.denominator
+        rn, rd = self.r.numerator, self.r.denominator
+        sn, sd = self.s.numerator, self.s.denominator
+        tn, td = self.t.numerator, self.t.denominator
+        a, b = p.x.numerator, p.x.denominator
+        c, d = p.y.numerator, p.y.denominator
+        u2n, u2d = un * un, ud * ud
+        x = Fraction(u2n * a * rd + rn * u2d * b, u2d * b * rd)
+        y = Fraction(
+            (un * c * sd * b + sn * a * ud * d) * u2n * td + tn * ud * u2d * sd * b * d,
+            ud * u2d * sd * td * b * d,
+        )
+        return CurvePoint._of(x, y)
 
     def transform_curve(self, c: WeierstrassCurve) -> WeierstrassCurve:
         u, r, s, t = self.u, self.r, self.s, self.t

@@ -263,6 +263,29 @@ def divisors(factorization: dict[int, int]) -> list[int]:
     return sorted(divs)
 
 
+def split_prime_power(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) for v = v_p(n), n nonzero and p >= 2.
+
+    Divides by p, p^2, p^4, ... while they divide, then by the same powers
+    back down, so v costs O(log v) big divisions instead of v.
+    """
+    if n == 0 or p < 2:
+        raise ValueError("the p-adic valuation needs n nonzero and p >= 2")
+    v, powers = 0, []
+    q = p
+    while n % q == 0:
+        n //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    # v_p(n) is now below 2^len(powers): its bits, highest first
+    for k in range(len(powers) - 1, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
+    return v, n
+
+
 def rational_exponents(r: Rat) -> dict[int, int]:
     """{p: v_p(r)} over the primes dividing a nonzero rational r.
 

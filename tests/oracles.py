@@ -4,13 +4,16 @@ Each is an independent route to a fact the pipeline computes another way:
 zeros and poles of a function by evaluation, equality of quaternion
 classes by Hilbert symbols, the pairing scalar as the norm of a function
 and by its closed forms in Fraction arithmetic, the group law, the
-invariants and the short integral model in Fraction arithmetic, and the
-rational torsion subgroup by the full Nagell-Lutz search.  seeded_models
-gives the curves and points the Fraction oracles are compared on.
+invariants, the short integral model and the pull back of a point in
+Fraction arithmetic, the rational torsion subgroup by the full Nagell-Lutz
+search, and the cyclotomic descriptor by a breadth-first closure with a
+closure check and a gcd per member.  seeded_models gives the curves and
+points the Fraction oracles are compared on.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from relbrauer import (
     INDETERMINATE,
@@ -20,6 +23,7 @@ from relbrauer import (
     cocycle_function,
     quaternion_is_split,
 )
+from relbrauer.brauer import _unit_generators
 from relbrauer.curve import (
     INFINITY,
     ORDER_BOUND,
@@ -28,6 +32,7 @@ from relbrauer.curve import (
     WeierstrassCurve,
     to_short_integral,
 )
+from relbrauer.exact import factor
 from relbrauer.torsion import _integer_roots_depressed_cubic, _presentation, _square_divisor_roots
 
 
@@ -306,3 +311,96 @@ def pairing_scalar_by_fractions(cocycle, p):
     if order:
         raise NonConstantCocycleValue("the orders of the pairing function on <t> do not sum to 0")
     return b ** (cocycle.m // len(cycle))
+
+
+def pull_point_by_fractions(phi, p):
+    """phi.pull_point(p): x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, in
+    Fraction arithmetic."""
+    if p.is_infinity:
+        return INFINITY
+    x = phi.u**2 * p.x + phi.r
+    y = phi.u**3 * p.y + phi.s * phi.u**2 * p.x + phi.t
+    return CurvePoint(x, y)
+
+
+def _check_closed(members, member_set, n):
+    """Raise unless the sorted residues are closed under multiplication mod n.
+
+    Each member outside the span so far is a generator, and the span grows
+    by multiplication with it, in at most 2|H| products; the span ends up
+    equal to the members exactly when they are closed.
+    """
+    in_span = {1}
+    span = [1]
+    for g in members:
+        if g in in_span:
+            continue
+        # the loop also visits the products it appends
+        for a in span:
+            h = a * g % n
+            if h not in member_set:
+                raise ValueError("residue list is not closed under multiplication")
+            if h not in in_span:
+                in_span.add(h)
+                span.append(h)
+
+
+def cyclotomic_fields(conductor, subgroup):
+    """What Cyclotomic(conductor, subgroup) holds, as a dict of subgroup,
+    degree, sigma, primes and literal, or the ValueError it raises: every
+    check runs on the members one at a time (a gcd each, the closure by
+    _check_closed), then cyclicity is read off the CRT unit generators."""
+    n = conductor
+    if not isinstance(n, int) or n < 3:
+        raise ValueError("conductor must be an integer >= 3")
+    members = sorted({h % n for h in subgroup})
+    if not members:
+        raise ValueError("subgroup is empty")
+    for h in members:
+        if gcd(h, n) != 1:
+            raise ValueError(f"subgroup element {h} is not coprime to {n}")
+    if 1 not in members:
+        raise ValueError("subgroup does not contain 1")
+    member_set = set(members)
+    _check_closed(members, member_set, n)
+    # sigma depends on the order of the CRT generators, so N is factored
+    # as the descriptor factors it
+    _, exps = factor(n)
+    phi, sigma, order = 1, 1, 1
+    for g, g_order, g_primes in _unit_generators(n, exps):
+        phi *= g_order
+        e = g_order
+        for q in g_primes:
+            while e % q == 0 and pow(g, e // q, n) in member_set:
+                e //= q
+        u, v = order, e // gcd(order, e)
+        while (h := gcd(u, v)) != 1:
+            u, v = u // h, v * h
+        sigma = pow(sigma, order // u, n) * pow(g, e // v, n) % n
+        order = u * v
+    if order != phi // len(members):
+        raise ValueError("the quotient by the subgroup is not cyclic")
+    literal = f"cyclo:{n}:" + ",".join(str(h) for h in members)
+    return {"subgroup": tuple(members), "degree": order, "sigma": sigma,
+            "primes": tuple(sorted(exps)), "literal": literal}
+
+
+def cyclotomic_fields_from_generators(conductor, generators):
+    """What Cyclotomic.from_generators holds or raises: H by a breadth-first
+    closure of the generators, then every check of cyclotomic_fields."""
+    if not isinstance(conductor, int) or conductor < 3:
+        raise ValueError("conductor must be an integer >= 3")
+    gens = [g % conductor for g in generators]
+    for g in gens:
+        if gcd(g, conductor) != 1:
+            raise ValueError(f"generator {g} is not coprime to {conductor}")
+    closure = {1}
+    frontier = [1]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = a * g % conductor
+            if b not in closure:
+                closure.add(b)
+                frontier.append(b)
+    return cyclotomic_fields(conductor, tuple(sorted(closure)))

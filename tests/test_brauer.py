@@ -1,9 +1,11 @@
 """Field descriptors, local symbols, and cyclic algebra class decisions."""
 
+import json
 import random
 import time
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,11 @@ from relbrauer.brauer import (
 from relbrauer.cli import parse_extension
 from relbrauer.exact import mth_power_free_part
 
-from oracles import quaternion_class_equal
+from oracles import (
+    cyclotomic_fields,
+    cyclotomic_fields_from_generators,
+    quaternion_class_equal,
+)
 
 
 def test_kronecker_symbol_known_values():
@@ -165,6 +171,127 @@ def test_large_noncyclic_conductor_refused_fast(literal):
     with pytest.raises(ValueError, match="not cyclic"):
         parse_extension(literal)
     assert time.perf_counter() - start < 0.5
+
+
+def _fields(make):
+    """The descriptor's subgroup, degree, sigma, primes and literal, or the
+    text of the ValueError it raises."""
+    try:
+        ext = make()
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(ext, dict):
+        return ext
+    return {"subgroup": ext.subgroup, "degree": ext.degree, "sigma": ext.sigma,
+            "primes": ext.primes, "literal": ext.literal()}
+
+
+def _seeded_descriptor_inputs(rng):
+    """(N, generators): prime N, 2^k, odd prime powers, 2^a 3^b and other
+    composite N, each with 0-3 generators, some redundant or = 1 mod N."""
+    primes = [p for p in range(3, 5000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    conductors = rng.sample(primes, 20)
+    conductors += [2**k for k in range(2, 13)]
+    conductors += [p**k for p in (3, 5, 7, 11, 13) for k in (2, 3) if p**k < 5000]
+    conductors += [2**a * 3**b for a in range(0, 5) for b in range(0, 5) if 3 <= 2**a * 3**b]
+    conductors += rng.sample(range(3, 5000), 20)
+    for n in conductors:
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        for count in range(4):
+            gens = rng.sample(units, min(count, len(units)))
+            yield n, gens
+        # redundant generators: a product and a power of the others, 1 and
+        # its lifts, residues outside [0, N)
+        g, h = rng.choice(units), rng.choice(units)
+        yield n, [g, h, g * h % n, pow(g, 3, n)]
+        yield n, [1, 1 + n, g]
+        yield n, [g - n, h + 2 * n]
+
+
+def test_descriptor_matches_reference_on_seeded_inputs():
+    rng = random.Random(1301)
+    cyclic = noncyclic = 0
+    for n, gens in _seeded_descriptor_inputs(rng):
+        expected = _fields(lambda: cyclotomic_fields_from_generators(n, gens))
+        assert _fields(lambda: Cyclotomic.from_generators(n, gens)) == expected, (n, gens)
+        if isinstance(expected, str):
+            noncyclic += 1
+            continue
+        cyclic += 1
+        members = list(expected["subgroup"])
+        if len(members) > 500:
+            continue  # the conductor pool test takes the large lists
+        rng.shuffle(members)
+        # the same H as a list, with lifts; then with a member dropped, a
+        # member added, and a non-unit added
+        lists = [members, [h + n for h in members[:3]] + members]
+        if len(members) > 1:
+            lists.append(members[1:])
+        lists.append(members + [rng.randrange(1, n)])
+        lists.append(members + [n // min(expected["primes"])])
+        for residues in lists:
+            assert _fields(lambda: Cyclotomic(n, residues)) == _fields(
+                lambda: cyclotomic_fields(n, residues)
+            ), (n, residues)
+    assert cyclic > 300 and noncyclic > 100
+
+
+def test_descriptor_matches_reference_on_conductor_pool():
+    # the distinct extension literals of the benchmark's decide_m2 conductor jobs
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference" / "decide_m2.json"
+    jobs = json.loads(path.read_text())["conductor"]
+    literals = sorted({job["argv"][job["argv"].index("--ext") + 1] for job in jobs})
+    assert len(literals) == 49
+    for literal in literals:
+        _, n, gens = literal.split(":")
+        n, gens = int(n), [int(g) for g in gens.split(",")]
+        expected = cyclotomic_fields_from_generators(n, gens)
+        assert _fields(lambda: parse_extension(literal)) == expected, literal
+        assert _fields(lambda: Cyclotomic(n, expected["subgroup"])) == expected, literal
+
+
+@pytest.mark.parametrize(
+    "conductor, residues, message",
+    [
+        (2, (), "conductor must be an integer >= 3"),
+        (10, (), "subgroup is empty"),
+        (10, (5, 4, 3), "subgroup element 4 is not coprime to 10"),
+        (10, (3, 5), "subgroup element 5 is not coprime to 10"),
+        (7, (2, 4), "subgroup does not contain 1"),
+        (7, (1, 3, 2), "residue list is not closed under multiplication"),
+        (16, (1, 5, 9, 3), "residue list is not closed under multiplication"),
+        (16, (1,), "the quotient by the subgroup is not cyclic"),
+    ],
+)
+def test_explicit_list_errors_keep_their_order(conductor, residues, message):
+    # where an input fails more than one check, the first in this order wins
+    for make in (Cyclotomic, cyclotomic_fields):
+        with pytest.raises(ValueError) as info:
+            make(conductor, residues)
+        assert str(info.value) == message
+
+
+def test_from_generators_walks_h_once(monkeypatch):
+    # H is made by one coset walk: no gcd per member and no list validation
+    import relbrauer.brauer as brauer_mod
+
+    gcd_calls, post_init_calls = [], []
+    real_gcd, real_post_init = brauer_mod.gcd, Cyclotomic.__post_init__
+
+    def counted_gcd(*args):
+        gcd_calls.append(args)
+        return real_gcd(*args)
+
+    def counted_post_init(self):
+        post_init_calls.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(brauer_mod, "gcd", counted_gcd)
+    monkeypatch.setattr(Cyclotomic, "__post_init__", counted_post_init)
+    ext = Cyclotomic.from_generators(2797, (4,))
+    assert len(ext.subgroup) == 1398 and ext.degree == 2
+    assert post_init_calls == []
+    assert len(gcd_calls) < 10
 
 
 def test_residue_degree():

@@ -698,3 +698,24 @@ def test_brauer_pairing_factors_c_not_its_power(monkeypatch):
     assert algebra.b_raw == F(1, 11**10000) and algebra.b_normalized == 11**40000
     assert algebra.primes == (11,)
     assert class_status(algebra).witness == 11
+
+
+def test_large_m_class_is_decided_within_budget():
+    # E1 with t = p = (5, 5) and m = 250,000 over cyclo:N:h, N = 15m + 1
+    # prime and h = g^m: b_raw = 1/11^50000.  The class constructor and the
+    # local symbol at 11 take v_11 by repeated squaring; one division by 11
+    # at a time took 5.1 s for the two calls below on a 2-core VM
+    import time
+
+    n, m = 3750001, 250000
+    g = next(g for g in range(2, n) if all(pow(g, (n - 1) // q, n) != 1 for q in (2, 3, 5)))
+    ext = Cyclotomic.from_generators(n, (pow(g, m, n),))
+    curve = WeierstrassCurve(0, -1, 1, -10, -20)
+    t = CurvePoint(F(5), F(5))
+    coc = RationalCocycle(curve, m, t)
+    start = time.perf_counter()
+    algebra = brauer_pairing(coc, t, ext)
+    status = class_status(algebra)
+    assert time.perf_counter() - start < 1.5
+    assert algebra.b_raw == F(1, 11**50000) and algebra.primes == (11,)
+    assert status.witness == 11

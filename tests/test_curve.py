@@ -211,6 +211,28 @@ def test_to_short_integral_matches_chain_oracle():
         assert all(short.is_on_curve(phi.push_point(q)) for q in points)
 
 
+def test_pull_point_matches_fraction_oracle(fraction_arithmetic_refused):
+    # every point of the seeded models and of the torsion curves, pushed to
+    # the short model and pulled back on integers, as the Fraction form does
+    from oracles import TORSION_CURVES, pull_point_by_fractions
+
+    cases = [(WeierstrassCurve(*c), list(torsion_subgroup(WeierstrassCurve(*c)).elements))
+             for c in TORSION_CURVES]
+    cases += list(seeded_models())
+    pulled = 0
+    for curve, points in cases:
+        _, phi = to_short_integral(curve)
+        for q in points:
+            image = phi.push_point(q)
+            expected = pull_point_by_fractions(phi, image)
+            with fraction_arithmetic_refused():
+                got = phi.pull_point(image)
+            assert got == expected == q
+            assert (type(got.x), type(got.y)) == (F, F) or got.is_infinity
+            pulled += not q.is_infinity
+    assert pulled > 200
+
+
 def test_curve_construction_makes_no_fraction_arithmetic(fraction_arithmetic_refused):
     # the discriminant and the short integral model come from the integers
     # of _scaled: every Fraction operator raises while they are built

@@ -15,6 +15,7 @@ from relbrauer.exact import (
     is_probable_prime,
     mth_power_free_part,
     poly_gcd,
+    split_prime_power,
 )
 
 M61 = 2**61 - 1
@@ -120,6 +121,26 @@ def test_factor_matches_sympy():
 def test_divisors():
     assert divisors(factor(12)[1]) == [1, 2, 3, 4, 6, 12]
     assert divisors({}) == [1]
+
+
+def test_split_prime_power_matches_repeated_division():
+    def by_division(n, p):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v, n
+
+    rng = random.Random(1302)
+    for _ in range(500):
+        p = rng.choice((2, 3, 5, 11, 97, M61))
+        n = rng.choice((1, -1)) * rng.randrange(1, 10**6) * p ** rng.randrange(0, 300)
+        assert split_prime_power(n, p) == by_division(n, p), (n, p)
+    assert split_prime_power(11**10000 * 7, 11) == (10000, 7)
+    assert split_prime_power(-(2**64 - 1) * 2**63, 2) == (63, -(2**64 - 1))
+    for n, p in ((0, 3), (5, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            split_prime_power(n, p)
 
 
 def test_mth_power_free_part_known_values():
