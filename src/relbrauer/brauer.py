@@ -24,6 +24,7 @@ from .exact import (
     factor,
     is_mth_power,
     is_probable_prime,
+    mth_power_free_part,
     rational_exponents,
     split_prime_power,
 )
@@ -366,8 +367,9 @@ class CyclicAlgebraClass(_Value):
 
     primes holds the primes dividing b_raw, ascending; the local symbols
     reuse them.  A caller that has factored b_raw passes them, and they are
-    checked by division; otherwise b_raw is factored here.  primes is not
-    compared.
+    checked by division; when b_normalized is the m-th-power-free part
+    those valuations give, b_raw / b_normalized is an m-th power without an
+    m-th root.  Otherwise b_raw is factored here.  primes is not compared.
     """
 
     __slots__ = ("m", "ext", "b_raw", "b_normalized", "primes")
@@ -386,19 +388,30 @@ class CyclicAlgebraClass(_Value):
             raise ValueError("the algebra scalar must be nonzero")
         if m != ext.degree:
             raise ValueError(f"m = {m} does not match extension degree {ext.degree}")
-        if not is_mth_power(b_raw / b_normalized, m):
+        bad_primes = exps = None
+        if primes is not None:
+            primes = tuple(sorted(set(primes)))
+            if primes and primes[0] < 2:
+                bad_primes = f"{primes[0]} is not a prime"
+            else:
+                exps, rest = {}, abs(b_raw.numerator) * b_raw.denominator
+                for p in primes:
+                    v, rest = split_prime_power(rest, p)
+                    exps[p] = -v if b_raw.denominator % p == 0 else v
+                if rest != 1:
+                    bad_primes = "primes do not cover the numerator and denominator of b_raw"
+        # the normal form read off the valuations needs no m-th root
+        normal = (
+            exps is not None
+            and bad_primes is None
+            and b_normalized == mth_power_free_part(b_raw, m, exps)
+        )
+        if not normal and not is_mth_power(b_raw / b_normalized, m):
             raise ValueError("b_raw / b_normalized is not an m-th power")
+        if bad_primes is not None:
+            raise ValueError(bad_primes)
         if primes is None:
             primes = tuple(sorted(rational_exponents(b_raw)))
-        else:
-            primes = tuple(sorted(set(primes)))
-            rest = abs(b_raw.numerator) * b_raw.denominator
-            for p in primes:
-                if p < 2:
-                    raise ValueError(f"{p} is not a prime")
-                rest = split_prime_power(rest, p)[1]
-            if rest != 1:
-                raise ValueError("primes do not cover the numerator and denominator of b_raw")
         self._set(m, ext, b_raw, b_normalized, primes)
 
 

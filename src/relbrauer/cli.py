@@ -9,12 +9,12 @@ plain text or JSON; identical invocations produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 from .brauer import Cyclotomic, Quadratic, class_status
 from .cocycle import NonConstantCocycleValue, RationalCocycle, brauer_pairing, relative_brauer
@@ -54,9 +54,17 @@ def _normalize(text: str) -> str:
     return text.replace("−", "-").strip()
 
 
+def _rational(token: str) -> Fraction:
+    """Fraction(token); an ASCII integer -?[0-9]+ skips Fraction's string regex."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isdigit() and digits.isascii():
+        return Fraction(int(token))
+    return Fraction(token)
+
+
 def _rational_token(token: str, position: int) -> Fraction:
     try:
-        return Fraction(token)
+        return _rational(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"invalid rational literal {token!r}", position=position) from None
 
@@ -90,7 +98,7 @@ def _try_affine(text: str) -> CurvePoint | None:
     if len(parts) != 2:
         return None
     try:
-        return CurvePoint(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        return CurvePoint._of(_rational(parts[0].strip()), _rational(parts[1].strip()))
     except (ValueError, ZeroDivisionError):
         return None
 
@@ -308,14 +316,66 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ParseError(message)
+# Each command's options as _build_parser() declares them: the default of
+# an optional one, None for a required one.
+_OPTIONS = {
+    "torsion": {"--curve": None, "--output": "text"},
+    "pairing": {
+        "--curve": None, "--output": "text", "--t": None, "--m": None, "--p": None, "--ext": None,
+    },
+    "relbr": {
+        "--curve": None, "--output": "text", "--t": None, "--m": None, "--ext": None,
+        "--gens": "auto",
+    },
+}
+
+
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace _build_parser().parse_args(argv) gives, when argv is a
+    command followed by its options, each named exactly and at most once, as
+    '--name value' (value not starting with '-') or '--name=value', with every
+    required option, an --output choice and an integer --m.  None for any
+    other argv, which is left to argparse: help, abbreviations and errors."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given = {}
+    args = iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in options or name in given:
+            return None
+        if not eq:
+            value = next(args, "-")
+            if value.startswith("-"):
+                return None
+        given[name] = value
+    ns = {"command": argv[0]}
+    for name, default in options.items():
+        value = given.get(name, default)
+        if value is None:
+            return None
+        ns[name[2:]] = value
+    if ns["output"] not in ("text", "json"):
+        return None
+    if "m" in ns:
+        try:
+            ns["m"] = int(ns["m"])
+        except ValueError:
+            return None
+    return SimpleNamespace(**ns)
 
 
 @cache
-def _build_parser() -> _Parser:
-    # one parser per process: parse_args leaves it unchanged
+def _build_parser():
+    # one parser per process: parse_args leaves it unchanged.  argparse is
+    # imported here, for the argvs that _scan leaves to it.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ParseError(message)
+
     parser = _Parser(prog="relbrauer", description="relative Brauer groups of genus-1 curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,7 +407,10 @@ def _build_parser() -> _Parser:
 
 
 def _job_from_args(argv) -> JobSpec:
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _scan(argv)
+    if ns is None:
+        ns = _build_parser().parse_args(argv)
     curve = parse_curve(ns.curve)
     if ns.command == "torsion":
         return JobSpec("torsion", curve, output=ns.output)

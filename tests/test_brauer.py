@@ -424,6 +424,78 @@ def test_cyclic_algebra_class_validation():
         CyclicAlgebraClass(2, ext, F(12), F(3), (1, 2, 3))
 
 
+def _old_class_check(m, b_raw, b_normalized, primes):
+    # the constructor's checks before the valuations decided the m-th power:
+    # the message of the first that fails, or None
+    from relbrauer.exact import is_mth_power, split_prime_power
+
+    if not is_mth_power(b_raw / b_normalized, m):
+        return "b_raw / b_normalized is not an m-th power"
+    if primes is not None:
+        rest = abs(b_raw.numerator) * b_raw.denominator
+        for p in sorted(set(primes)):
+            if p < 2:
+                return f"{p} is not a prime"
+            rest = split_prime_power(rest, p)[1]
+        if rest != 1:
+            return "primes do not cover the numerator and denominator of b_raw"
+    return None
+
+
+def test_class_mth_power_decision_matches_is_mth_power():
+    # seeded good and bad (b_raw, b_normalized, m, primes): the constructor
+    # raises exactly where the m-th root check and the primes check raised
+    rng = random.Random(1502)
+    exts = {2: Quadratic(-1), 5: Cyclotomic.from_generators(11, (2**5,)),
+            10: Cyclotomic.from_generators(11, (1,))}
+    for m in (3, 4, 6, 12):
+        exts[m] = Cyclotomic.from_generators(13, (pow(2, m, 13),))
+    small = (2, 3, 5, 7, 11, 13)
+    outcomes = set()
+    for _ in range(1500):
+        m = rng.choice(sorted(exts))
+        exps = {q: rng.randrange(-3 * m, 3 * m) for q in rng.sample(small, rng.randrange(0, 4))}
+        b_raw = F(rng.choice((1, -1)))
+        for q, e in exps.items():
+            b_raw *= F(q) ** e
+        b_norm = mth_power_free_part(b_raw, m)
+        kind = rng.randrange(6)
+        if kind == 1:  # another representative of the class
+            b_norm *= F(rng.choice(small), rng.choice(small)) ** (m * rng.choice((1, -1)))
+        elif kind == 2:  # off by a prime, possibly one outside b_raw
+            b_norm *= rng.choice(small + (17,))
+        elif kind == 3:  # the sign flipped
+            b_norm = -b_norm
+        elif kind == 4:  # a prime power in the denominator
+            b_norm /= F(rng.choice(small)) ** rng.randrange(1, m + 1)
+        primes = tuple(exps)
+        choice = rng.randrange(5)
+        if choice == 1:
+            primes = None
+        elif choice == 2 and primes:
+            primes = primes[1:]
+        elif choice == 3:
+            primes += (rng.choice((1, 0, -3, 17)),)
+        elif choice == 4:
+            primes += (rng.choice(small),)
+        expected = _old_class_check(m, b_raw, b_norm, primes)
+        try:
+            alg = CyclicAlgebraClass(m, exts[m], b_raw, b_norm, primes)
+        except ValueError as exc:
+            assert str(exc) == expected, (m, b_raw, b_norm, primes)
+        else:
+            assert expected is None, (m, b_raw, b_norm, primes)
+            given = sorted(q for q, e in exps.items() if e) if primes is None else set(primes)
+            assert alg.primes == tuple(sorted(given))
+        outcomes.add(expected)
+    assert outcomes >= {
+        None,
+        "b_raw / b_normalized is not an m-th power",
+        "1 is not a prime",
+        "primes do not cover the numerator and denominator of b_raw",
+    }
+
+
 def test_class_status_constructors():
     assert ClassStatus.trivial().kind == "trivial"
     assert ClassStatus.nontrivial(3).witness == 3

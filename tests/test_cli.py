@@ -419,20 +419,175 @@ def test_parser_reused_after_a_bad_call_gives_fresh_output(capsys):
 
 def test_import_loads_no_dataclasses_and_defers_no_module():
     # a CLI run pays for its imports; dataclasses alone pulled in inspect,
-    # ast, dis and tokenize.  Every package module still loads up front.
+    # ast, dis and tokenize, and argparse pulls in gettext.  Every package
+    # module still loads up front; argparse loads only for an argv the
+    # scanner leaves to it.
     src = str(Path(relbrauer.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, relbrauer.cli; print(' '.join(sorted(sys.modules)))"
+    code = (
+        "import sys, relbrauer.cli\n"
+        f"assert relbrauer.cli.main({PAIRING_ARGV!r}) == 0\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=60,
-    ).stdout.split()
-    assert "dataclasses" not in loaded
-    assert "inspect" not in loaded
+    ).stdout.splitlines()[-1].split()
+    for module in ("dataclasses", "inspect", "argparse", "gettext"):
+        assert module not in loaded
     assert [name for name in loaded if name.split(".")[0] == "relbrauer"] == [
         "relbrauer", "relbrauer.brauer", "relbrauer.cli", "relbrauer.cocycle",
         "relbrauer.curve", "relbrauer.exact", "relbrauer.funcfield", "relbrauer.torsion",
     ]
+
+
+def _pool_argvs():
+    # every reference-pool argv, as it is and with --output json
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    argvs = []
+    for pool in sorted(reference.glob("*.json")):
+        for entries in json.loads(pool.read_text()).values():
+            for entry in entries:
+                argv = list(entry["argv"])
+                argvs.append(argv)
+                if "--output" not in argv:
+                    argvs.append(argv + ["--output", "json"])
+    return argvs
+
+
+def test_scan_gives_argparse_namespace_on_every_pool_argv():
+    from relbrauer.cli import _build_parser, _scan
+
+    argvs = _pool_argvs()
+    assert len(argvs) > 2000
+    assert sum("json" in argv for argv in argvs) * 2 >= len(argvs)
+    parser = _build_parser()
+    for argv in argvs:
+        ns = _scan(argv)
+        assert ns is not None, argv
+        assert vars(ns) == vars(parser.parse_args(argv)), argv
+
+
+def test_scan_option_table_is_the_parser_table():
+    # the scanner's table, choice and int check cannot drift from argparse's
+    from relbrauer.cli import _OPTIONS, _build_parser
+
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(_OPTIONS)
+    for command, sub in subparsers.items():
+        actions = [a for a in sub._actions if "--help" not in a.option_strings]
+        assert [a.option_strings for a in actions] == [[name] for name in _OPTIONS[command]]
+        for action in actions:
+            name = action.option_strings[0]
+            assert _OPTIONS[command][name] == (None if action.required else action.default)
+            assert action.choices == (("text", "json") if name == "--output" else None)
+            assert action.type is (int if name == "--m" else None)
+
+
+_C = "0 -1 1 -10 -20"
+_REST = ["--t", "5,5", "--m", "5", "--p", "5,5", "--ext", "cyclo:11:1,10"]
+# argvs the scanner reads (None is sys.argv[1:], set to PAIRING_ARGV)
+_SCANNED_EDGES = [
+    ["pairing", "--curve", _C, "--t=", *_REST[2:]],
+    ["pairing", "--curve", _C, *_REST[:4], "--p=-5,5", *_REST[6:]],
+    ["pairing", "--curve", _C, "--t", "5,5", "--m", " 5", *_REST[4:]],
+    ["torsion", "--curve=" + _C, "--output=json"],
+    ["relbr", "--curve", _C, *_REST[:4], *_REST[6:], "--gens", "5,5;16,60"],
+    ["pairing", "--curve", "0 -1 1 -1_0 -20", *_REST],
+    ["pairing", "--curve", "0 -1 1 -\u0661\u0660 -20", *_REST],
+    ["pairing", "--curve", "0 \u22121 1 -10/1 -20.0", "--t", "(5, 5)", *_REST[2:]],
+    ["pairing", "--curve", "0 -1 1 -10 " + "9" * 5000, *_REST],
+    None,
+]
+# argvs it leaves to argparse: help, abbreviations, repeats, dashes, errors
+_ARGPARSE_EDGES = [
+    PAIRING_ARGV + ["--m", "5"],
+    ["pairing", "--cur", _C, *_REST],
+    ["pairing", "--curve", _C, "--t", "5,5", "--m", "-2", *_REST[4:]],
+    ["pairing", "--curve", _C, *_REST[:4], "--p", "-5,5", *_REST[6:]],
+    ["pairing", "--curve", _C, *_REST, "--output", "xml"],
+    ["pairing", "--curve", _C, "--t", "5,5", "--m", "five", *_REST[4:]],
+    ["pairing", "--curve", _C, "--t", "5,5", "--m=", *_REST[4:]],
+    ["pairing", "--curve", _C, "--t", "5,5", "--m", "1" * 5000, *_REST[4:]],
+    ["pairing", "--curve", _C, "--t", "-8, 18", *_REST[2:]],
+    ["-h"],
+    ["pairing", "-h"],
+    ["relbr", "--help"],
+    ["torsion", "--curve", _C, "-h"],
+    PAIRING_ARGV + ["--"],
+    ["--", *PAIRING_ARGV],
+    ["pairing", "--", "--curve", _C],
+    [],
+    ["frobnicate"],
+    ["torsion"],
+    ["torsion", "--curve"],
+    ["torsion", "--curve", _C, "extra"],
+    ["torsion", "--curve", _C, "--t", "5,5"],
+    ["torsion", "--curve", _C, "--output"],
+    ["relbr", "--curve", _C, *_REST[:4], *_REST[6:], "--p", "5,5"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _SCANNED_EDGES + _ARGPARSE_EDGES)
+def test_edge_argvs_answer_as_argparse_alone(argv, monkeypatch, capsys):
+    # argparse alone read every argv before the scanner: its answer, with
+    # the scanner switched off, is the one to keep
+    import relbrauer.cli as cli
+
+    monkeypatch.setattr(sys, "argv", ["relbrauer", *PAIRING_ARGV])
+    fast = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_scan", lambda argv: None)
+    assert fast == _outcome(argv, capsys)
+
+
+def test_edge_argvs_that_the_scanner_takes(monkeypatch):
+    from relbrauer.cli import _scan
+
+    monkeypatch.setattr(sys, "argv", ["relbrauer", *PAIRING_ARGV])
+    for argv in _SCANNED_EDGES:
+        assert _scan(sys.argv[1:] if argv is None else argv) is not None, argv
+    for argv in _ARGPARSE_EDGES:
+        assert _scan(argv) is None, argv
+
+
+def test_literal_reads_integers_without_the_fraction_regex():
+    # the same value, or the same exception, as Fraction(token)
+    from relbrauer.cli import _rational
+
+    tokens = [
+        "0", "-0", "007", "-12", "+5", "5/3", "-10/1", "-20.0", "1e3", "1_0", "-1_0",
+        "\u0661\u0660", "\u00b2", "--5", "-", "", " 5", "5 ", "x", "1/0", "9" * 5000,
+    ]
+    for token in tokens:
+        try:
+            expected = F(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                _rational(token)
+        else:
+            value = _rational(token)
+            assert type(value) is F and value == expected, token
+
+
+def test_edge_argv_errors_keep_argparse_messages(capsys):
+    # messages that read the same under every supported argparse
+    assert main(["pairing", "--curve", _C, "--t", "5,5", "--m", "five", *_REST[4:]]) == 1
+    assert capsys.readouterr().err == "error: argument --m: invalid int value: 'five'\n"
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["-h"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: relbrauer [-h] {torsion,pairing,relbr}")
 
 
 def _readme_examples():
