@@ -24,7 +24,6 @@ from .exact import (
     factor,
     is_mth_power,
     is_probable_prime,
-    mth_power_free_part,
     rational_exponents,
     split_prime_power,
 )
@@ -368,7 +367,7 @@ class CyclicAlgebraClass(_Value):
     primes holds the primes dividing b_raw, ascending; the local symbols
     reuse them.  A caller that has factored b_raw passes them, and they are
     checked by division; when b_normalized is the m-th-power-free part
-    those valuations give, b_raw / b_normalized is an m-th power without an
+    their valuations give, b_raw / b_normalized is an m-th power without an
     m-th root.  Otherwise b_raw is factored here.  primes is not compared.
     """
 
@@ -388,24 +387,28 @@ class CyclicAlgebraClass(_Value):
             raise ValueError("the algebra scalar must be nonzero")
         if m != ext.degree:
             raise ValueError(f"m = {m} does not match extension degree {ext.degree}")
-        bad_primes = exps = None
+        bad_primes, normal = None, False
         if primes is not None:
             primes = tuple(sorted(set(primes)))
             if primes and primes[0] < 2:
                 bad_primes = f"{primes[0]} is not a prime"
             else:
-                exps, rest = {}, abs(b_raw.numerator) * b_raw.denominator
+                # s = sign * prod p^(v_p(b_raw) mod m), the normal form; an
+                # entry meeting only part of the denominator (a composite)
+                # has no valuation, and the m-th root decides
+                den = b_raw.denominator
+                rest, s, sound = abs(b_raw.numerator) * den, 1, True
                 for p in primes:
                     v, rest = split_prime_power(rest, p)
-                    exps[p] = -v if b_raw.denominator % p == 0 else v
+                    if den % p == 0:
+                        v = -v
+                    elif gcd(p, den) > 1:
+                        sound = False
+                    s *= p ** (v % m)
                 if rest != 1:
                     bad_primes = "primes do not cover the numerator and denominator of b_raw"
-        # the normal form read off the valuations needs no m-th root
-        normal = (
-            exps is not None
-            and bad_primes is None
-            and b_normalized == mth_power_free_part(b_raw, m, exps)
-        )
+                elif sound:
+                    normal = b_normalized == (-s if m % 2 == 0 and b_raw < 0 else s)
         if not normal and not is_mth_power(b_raw / b_normalized, m):
             raise ValueError("b_raw / b_normalized is not an m-th power")
         if bad_primes is not None:

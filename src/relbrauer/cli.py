@@ -316,17 +316,37 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-# Each command's options as _build_parser() declares them: the default of
-# an optional one, None for a required one.
+# Each command's help and its options, as add_argument keywords: the one
+# table that _build_parser() declares and _scan reads.
+_COMMON = {
+    "--curve": {"required": True, "help": "'a1 a2 a3 a4 a6' or '[A,B]'"},
+    "--output": {"choices": ("text", "json"), "default": "text"},
+}
 _OPTIONS = {
-    "torsion": {"--curve": None, "--output": "text"},
-    "pairing": {
-        "--curve": None, "--output": "text", "--t": None, "--m": None, "--p": None, "--ext": None,
-    },
-    "relbr": {
-        "--curve": None, "--output": "text", "--t": None, "--m": None, "--ext": None,
-        "--gens": "auto",
-    },
+    "torsion": ("rational torsion subgroup", _COMMON),
+    "pairing": (
+        "Brauer class of a single point",
+        {
+            **_COMMON,
+            "--t": {"required": True, "help": "m-torsion point, e.g. --t=0,0"},
+            "--m": {"required": True, "type": int, "help": "cyclic order"},
+            "--p": {"required": True, "help": "point to pair, 'O' or 'x,y'"},
+            "--ext": {"required": True, "help": "'quad:d' or 'cyclo:N:g1,g2'"},
+        },
+    ),
+    "relbr": (
+        "relative Brauer group presentation",
+        {
+            **_COMMON,
+            "--t": {"required": True, "help": "m-torsion point, e.g. --t=-8,18"},
+            "--m": {"required": True, "type": int, "help": "cyclic order"},
+            "--ext": {"required": True, "help": "'quad:d' or 'cyclo:N:g1,g2'"},
+            "--gens": {
+                "default": "auto",
+                "help": "'auto' (torsion generators, rank 0 assumed) or 'x1,y1;x2,y2;...'",
+            },
+        },
+    ),
 }
 
 
@@ -334,11 +354,13 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     """The namespace _build_parser().parse_args(argv) gives, when argv is a
     command followed by its options, each named exactly and at most once, as
     '--name value' (value not starting with '-') or '--name=value', with every
-    required option, an --output choice and an integer --m.  None for any
-    other argv, which is left to argparse: help, abbreviations and errors."""
-    options = _OPTIONS.get(argv[0]) if argv else None
-    if options is None:
+    option that has no default, a value among the choices and one its type
+    takes.  None for any other argv, which is left to argparse: help,
+    abbreviations and errors.  An explicit '--name=--' stays the string
+    '--', which argparse up to 3.12 turns into an empty list."""
+    if not argv or argv[0] not in _OPTIONS:
         return None
+    options = _OPTIONS[argv[0]][1]
     given = {}
     args = iter(argv[1:])
     for arg in args:
@@ -351,18 +373,18 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
                 return None
         given[name] = value
     ns = {"command": argv[0]}
-    for name, default in options.items():
-        value = given.get(name, default)
-        if value is None:
+    for name, spec in options.items():
+        value = given.get(name, spec.get("default"))
+        if value is None:  # a required option is missing
             return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
         ns[name[2:]] = value
-    if ns["output"] not in ("text", "json"):
-        return None
-    if "m" in ns:
-        try:
-            ns["m"] = int(ns["m"])
-        except ValueError:
-            return None
     return SimpleNamespace(**ns)
 
 
@@ -378,31 +400,10 @@ def _build_parser():
 
     parser = _Parser(prog="relbrauer", description="relative Brauer groups of genus-1 curves")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--curve", required=True, help="'a1 a2 a3 a4 a6' or '[A,B]'")
-        p.add_argument("--output", choices=("text", "json"), default="text")
-
-    torsion = sub.add_parser("torsion", help="rational torsion subgroup")
-    common(torsion)
-
-    pairing = sub.add_parser("pairing", help="Brauer class of a single point")
-    common(pairing)
-    pairing.add_argument("--t", required=True, help="m-torsion point, e.g. --t=0,0")
-    pairing.add_argument("--m", required=True, type=int, help="cyclic order")
-    pairing.add_argument("--p", required=True, help="point to pair, 'O' or 'x,y'")
-    pairing.add_argument("--ext", required=True, help="'quad:d' or 'cyclo:N:g1,g2'")
-
-    relbr = sub.add_parser("relbr", help="relative Brauer group presentation")
-    common(relbr)
-    relbr.add_argument("--t", required=True, help="m-torsion point, e.g. --t=-8,18")
-    relbr.add_argument("--m", required=True, type=int, help="cyclic order")
-    relbr.add_argument("--ext", required=True, help="'quad:d' or 'cyclo:N:g1,g2'")
-    relbr.add_argument(
-        "--gens",
-        default="auto",
-        help="'auto' (torsion generators, rank 0 assumed) or 'x1,y1;x2,y2;...'",
-    )
+    for command, (help_text, options) in _OPTIONS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, spec in options.items():
+            command_parser.add_argument(name, **spec)
     return parser
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 from operator import attrgetter
 
 Rat = Fraction
@@ -27,22 +27,6 @@ TRIAL_DIVISION_BOUND = 10**6
 RHO_ITERATION_CAP = 10**6
 # trial division runs this far before rho; the rest of the sweep is a backstop
 _SMALL_PRIME_BOUND = 10**3
-
-
-def _primes_upto(n: int) -> list[int]:
-    """The primes up to n, ascending, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return [i for i, is_prime in enumerate(sieve) if is_prime]
-
-
-# the primes in (3, _SMALL_PRIME_BOUND], and their product for one gcd that
-# shows which of them divide a cofactor
-_SMALL_PRIMES = _primes_upto(_SMALL_PRIME_BOUND)[2:]
-_SMALL_PRIME_PRODUCT = prod(_SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witness set below ~3.3e24; probabilistic above.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -215,58 +199,17 @@ def _trial_divide(
     return m, d, step
 
 
-def _screen_small(m: int, bound: int, out: dict[int, int]) -> tuple[int, int, int]:
-    """_trial_divide(m, 5, 2, bound, out) for bound <= _SMALL_PRIME_BOUND.
-
-    One gcd with _SMALL_PRIME_PRODUCT names the primes to divide out, so
-    there is no division per candidate.  The cofactor, the next (d, step)
-    and the entries put in out are _trial_divide's.
-    """
-    g = gcd(m, _SMALL_PRIME_PRODUCT)
-    found = []
-    for p in _SMALL_PRIMES:
-        if p * p > g:
-            break
-        if g % p == 0:
-            found.append(p)
-            g //= p
-    if g > 1:
-        found.append(g)
-    last = 4  # the sweep resumes past last; its first candidate is 5
-    for p in found:
-        if p > bound or p * p > m:
-            break
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out[p] = e
-        if m > 1 and is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            m = 1
-        if m == 1:
-            return 1, p, 2 if p % 6 == 5 else 4
-        last = p
-    # the sweep stops at the first candidate 6k +- 1 past last with
-    # d > bound or d * d > m
-    d = max(last, bound if m >= bound * bound else isqrt(m)) + 1
-    d += (1, 0, 3, 2, 1, 0)[d % 6]
-    return m, d, 2 if d % 6 == 5 else 4
-
-
 def factor(
     n: int, *, trial_bound: int | None = None, rho_cap: int | None = None
 ) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as (sign, {prime: exponent}).
 
-    sign * prod(p**e) == n.  After 2 and 3, one gcd with the product of the
-    primes up to 10**3 names those to divide out, and the cofactor and the
-    sweep's resume point are what trial division over them leaves
-    (_screen_small).  A composite cofactor goes to Pollard rho, capped at
-    rho_cap iterations (default 10**6) per split.  Only if rho gives up
-    does the full sweep run as a backstop: trial division resumes up to
-    trial_bound (default 10**6), exiting early once the cofactor is 1 or
-    probably prime, and a composite survivor the sweep shrank goes to rho
+    sign * prod(p**e) == n.  After 2 and 3, trial division runs over the
+    primes up to 10**3 and hands a composite cofactor to Pollard rho,
+    capped at rho_cap iterations (default 10**6) per split.  Only if rho
+    gives up does the full sweep run as a backstop: trial division resumes
+    up to trial_bound (default 10**6), exiting early once the cofactor is 1
+    or probably prime, and a composite survivor the sweep shrank goes to rho
     once more.  The worst case is two capped rho runs and one sweep.  After
     a rho failure the result is what the full sweep followed by rho gives:
     the factorization, or FactoringLimitExceeded naming n and the cofactor
@@ -290,7 +233,7 @@ def factor(
     if is_probable_prime(m):
         out[m] = out.get(m, 0) + 1
         return sign, out
-    m, d, step = _screen_small(m, min(bound, _SMALL_PRIME_BOUND), out)
+    m, d, step = _trial_divide(m, 5, 2, min(bound, _SMALL_PRIME_BOUND), out)
     if m > 1 and d * d <= m and d <= bound:
         # a composite cofactor with the sweep unfinished: try rho first
         found = dict(out)

@@ -469,7 +469,7 @@ def test_class_mth_power_decision_matches_is_mth_power():
         elif kind == 4:  # a prime power in the denominator
             b_norm /= F(rng.choice(small)) ** rng.randrange(1, m + 1)
         primes = tuple(exps)
-        choice = rng.randrange(5)
+        choice = rng.randrange(6)
         if choice == 1:
             primes = None
         elif choice == 2 and primes:
@@ -478,6 +478,8 @@ def test_class_mth_power_decision_matches_is_mth_power():
             primes += (rng.choice((1, 0, -3, 17)),)
         elif choice == 4:
             primes += (rng.choice(small),)
+        elif choice == 5 and len(primes) >= 2:  # two primes as one composite
+            primes = (primes[0] * primes[1],) + primes[2:]
         expected = _old_class_check(m, b_raw, b_norm, primes)
         try:
             alg = CyclicAlgebraClass(m, exts[m], b_raw, b_norm, primes)
@@ -488,6 +490,13 @@ def test_class_mth_power_decision_matches_is_mth_power():
             given = sorted(q for q, e in exps.items() if e) if primes is None else set(primes)
             assert alg.primes == tuple(sorted(given))
         outcomes.add(expected)
+    # a composite entry split between numerator and denominator has no
+    # valuation: read as one, 6 would make 3/2 and 6 agree mod cubes
+    for m, b_raw, b_norm, primes in ((3, F(3, 2), F(6), (6,)), (5, F(10, 3), F(30), (5, 6))):
+        expected = "b_raw / b_normalized is not an m-th power"
+        assert _old_class_check(m, b_raw, b_norm, primes) == expected
+        with pytest.raises(ValueError, match="is not an m-th power"):
+            CyclicAlgebraClass(m, exts[m], b_raw, b_norm, primes)
     assert outcomes >= {
         None,
         "b_raw / b_normalized is not an m-th power",

@@ -118,112 +118,6 @@ def test_factor_matches_sympy():
         assert factor(n) == (-1 if n < 0 else 1, expected), n
 
 
-def _old_screen(m, bound, out):
-    # the sweep the gcd screen replaces: one trial division per candidate
-    import relbrauer.exact as exact
-
-    return exact._trial_divide(m, 5, 2, bound, out)
-
-
-def test_small_prime_screen_matches_the_trial_sweep():
-    # the same cofactor, next (d, step) and entries, so the backstop sweep
-    # and rho resume from the same state as before the screen
-    from relbrauer.exact import _SMALL_PRIMES, _screen_small
-
-    assert _SMALL_PRIMES[:3] == [5, 7, 11] and _SMALL_PRIMES[-1] == 997
-    assert len(_SMALL_PRIMES) == 166
-    rng = random.Random(1501)
-    seen = 0
-    while seen < 3000:
-        m = 1
-        for _ in range(rng.randrange(1, 6)):
-            kind = rng.random()
-            if kind < 0.5:
-                m *= rng.choice(_SMALL_PRIMES) ** rng.randrange(1, 4)
-            elif kind < 0.8:
-                m *= rng.randrange(2, 10 ** rng.randrange(1, 15))
-            else:
-                m *= rng.randrange(1000, 1100)
-        for p in (2, 3):
-            while m % p == 0:
-                m //= p
-        if m == 1 or is_probable_prime(m):
-            continue
-        bound = rng.choice((1000, 1000, 1000, 997, 500, 31, 25, 10, 7, 5, 4, 1))
-        out_old, out_new = {}, {}
-        assert _screen_small(m, bound, out_new) == _old_screen(m, bound, out_old), (m, bound)
-        assert list(out_new.items()) == list(out_old.items()), (m, bound)
-        seen += 1
-
-
-def _decide_m2_factor_inputs(monkeypatch):
-    # every argument exact.factor receives while the decide_m2 pool runs
-    import contextlib
-    import io
-    import json
-    from pathlib import Path
-
-    import relbrauer
-    import relbrauer.exact as exact
-    from relbrauer.cli import main
-
-    inputs = []
-    real = exact.factor
-
-    def recording(n, **kwargs):
-        inputs.append(n)
-        return real(n, **kwargs)
-
-    for name in ("exact", "brauer", "cocycle", "curve", "torsion", "cli"):
-        module = getattr(relbrauer, name)
-        if getattr(module, "factor", None) is real:
-            monkeypatch.setattr(module, "factor", recording)
-    pool = Path(__file__).resolve().parents[1] / "bench" / "reference" / "decide_m2.json"
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for entries in json.loads(pool.read_text()).values():
-            for entry in entries:
-                main(entry["argv"])
-    monkeypatch.undo()
-    return sorted(set(inputs))
-
-
-def test_factor_on_the_decide_m2_pool_matches_sympy_and_the_trial_sweep(monkeypatch):
-    sympy = pytest.importorskip("sympy")
-    import relbrauer.exact as exact
-
-    inputs = _decide_m2_factor_inputs(monkeypatch)
-    assert len(inputs) > 500
-    screened = [factor(n) for n in inputs]
-    for n, (sign, expo) in zip(inputs, screened):
-        assert sign == (-1 if n < 0 else 1)
-        assert expo == {int(p): e for p, e in sympy.factorint(abs(n)).items()}, n
-    monkeypatch.setattr(exact, "_screen_small", _old_screen)
-    assert [factor(n) for n in inputs] == screened
-
-
-def test_factor_limit_messages_match_the_trial_sweep(monkeypatch):
-    import relbrauer.exact as exact
-
-    def outcome(n, **kwargs):
-        try:
-            return factor(n, **kwargs)
-        except FactoringLimitExceeded as exc:
-            return str(exc)
-
-    cases = [
-        (M61 * M61, {"trial_bound": 10, "rho_cap": 50}),
-        (7 * M61 * M61, {"trial_bound": 10, "rho_cap": 50}),
-        (5 * 1009 * M61 * M61, {"trial_bound": 2000, "rho_cap": 50}),
-        (1009 * 1000003, {"rho_cap": 1}),
-        (11**3 * 997 * 1013 * 1000003 * 1000033, {"rho_cap": 1}),
-        (25 * 1000003 * 1000033, {"trial_bound": 4, "rho_cap": 1}),
-    ]
-    screened = [outcome(n, **kw) for n, kw in cases]
-    assert any(isinstance(r, str) for r in screened)
-    monkeypatch.setattr(exact, "_screen_small", _old_screen)
-    assert [outcome(n, **kw) for n, kw in cases] == screened
-
-
 def test_divisors():
     assert divisors(factor(12)[1]) == [1, 2, 3, 4, 6, 12]
     assert divisors({}) == [1]
