@@ -4,9 +4,11 @@ A genus-1 curve without rational points, presented as a twist of its
 Jacobian elliptic curve E by a cyclic cocycle through a rational torsion
 point, splits exactly the Brauer classes of Q produced by pairing rational
 points of E with the cocycle.  This package computes that pairing in exact
-rational arithmetic: torsion subgroups, function-field manipulations, the
-constant-valued 2-cocycles, and the resulting cyclic-algebra classes, each
-decided by its local invariants.
+rational arithmetic: torsion subgroups, the scalar b of each point as a
+product of closed-form leading coefficients over one period of the
+cocycle's torsion point, and the resulting cyclic-algebra classes, each
+decided by its local invariants.  Function-field elements and the
+2-cocycle table with its cyclic reduction remain as reference oracles.
 """
 
 from .brauer import (

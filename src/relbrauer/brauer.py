@@ -22,8 +22,8 @@ from .curve import CurvePoint
 from .exact import (
     _Value,
     factor,
-    is_mth_power,
     is_probable_prime,
+    mth_power_free_part,
     rational_exponents,
     split_prime_power,
 )
@@ -118,14 +118,13 @@ class Quadratic(_Value):
         return f"Q(sqrt({self.d}))"
 
 
-def _subgroup(gens, n: int, member_set: set[int] | None = None) -> set[int]:
-    """The subgroup of (Z/n)* generated by the residues gens, walked by cosets.
+def _subgroup(gens, n: int) -> set[int]:
+    """The subgroup of (Z/n)* generated by the units gens, walked by cosets.
 
     H is abelian, so adjoining g to the span S adds the cosets g S, g^2 S,
     ..., g^(r-1) S, where r is the least exponent with g^r in S; the powers
-    of g come from one loop and each element is made once.  With member_set
-    given, raise as soon as a power or a coset leaves it: the residues there
-    are then not closed under multiplication.  Memory is O(|H|), not O(n).
+    of g come from one loop and each element is made once.  Memory is
+    O(|H|), not O(n).
     """
     span = {1}
     for g in gens:
@@ -134,21 +133,12 @@ def _subgroup(gens, n: int, member_set: set[int] | None = None) -> set[int]:
         powers = []
         x = g
         while x not in span:
-            if member_set is not None and x not in member_set:
-                raise ValueError("residue list is not closed under multiplication")
             powers.append(x)
             x = x * g % n
         if len(span) == 1:
             new = powers  # the cosets of {1} are the powers themselves
-        elif member_set is None:
-            new = [a * x % n for x in powers for a in span]
         else:
-            new = []
-            for x in powers:
-                coset = [a * x % n for a in span]
-                if not member_set.issuperset(coset):
-                    raise ValueError("residue list is not closed under multiplication")
-                new += coset
+            new = [a * x % n for x in powers for a in span]
         span.update(new)
     return span
 
@@ -183,21 +173,21 @@ class Cyclotomic(_Value):
     """A cyclic subfield of Q(zeta_N): the fixed field of a subgroup H.
 
     H is a subgroup of G = (Z/N)* with cyclic quotient; the field degree is
-    phi(N) / |H|.  Cyclotomic(N, residues) takes H as a list and checks it:
-    the members must be units (their product is), contain 1, and be closed,
-    which one coset walk of the span of the members decides (_subgroup).
-    from_generators takes H by generators and walks it once.  Both then read
-    cyclicity off the CRT generators g_i of G: G/H is cyclic iff the lcm of
-    the orders of the cosets g_i H, its exponent, is |G| / |H|.  That takes
-    a few modular powers per generator and yields sigma, a residue whose
-    coset generates G/H.  primes holds the primes of N, factored once.  Only
-    conductor and subgroup are compared.
+    phi(N) / |H|.  Cyclotomic(N, subgroup) takes any set of units mod N
+    that generates H, and subgroup then holds all of H, sorted, so that the
+    repr is a constructor call for the same value.  H is walked once, by
+    cosets (_subgroup); a span of units is a subgroup by construction.
+    Cyclicity is read off the CRT generators g_i of G: G/H is cyclic iff
+    the lcm of the orders of the cosets g_i H, its exponent, is |G| / |H|.
+    That takes a few modular powers per generator and yields sigma, a
+    residue whose coset generates G/H.  primes holds the primes of N,
+    factored once.  Only conductor and subgroup are compared.
     """
 
     __slots__ = ("conductor", "subgroup", "degree", "primes", "sigma")
     _fields = ("conductor", "subgroup")
 
-    def __init__(self, conductor: int, subgroup: tuple[int, ...]):
+    def __init__(self, conductor: int, subgroup):
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "subgroup", subgroup)
         self.__post_init__()
@@ -206,33 +196,18 @@ class Cyclotomic(_Value):
         n = self.conductor
         if not isinstance(n, int) or n < 3:
             raise ValueError("conductor must be an integer >= 3")
-        member_set = {h % n for h in self.subgroup}
-        if not member_set:
-            raise ValueError("subgroup is empty")
-        members = sorted(member_set)
-        # the product is a unit iff every member is; only then name the first
-        product = 1
-        for h in members:
-            product = product * h % n
-        if gcd(product, n) != 1:
-            bad = next(h for h in members if gcd(h, n) != 1)
-            raise ValueError(f"subgroup element {bad} is not coprime to {n}")
-        # 0 is no unit, so 1 is the least member when it is one
-        if members[0] != 1:
-            raise ValueError("subgroup does not contain 1")
-        _subgroup(members, n, member_set)
-        self._finish(n, tuple(members), member_set)
-
-    def _finish(self, n: int, members: tuple[int, ...], member_set: set[int]) -> None:
-        """Fill every slot from a subgroup H of units, given sorted and as a
-        set; raise unless G/H is cyclic."""
+        gens = [g % n for g in self.subgroup]
+        for g in gens:
+            if gcd(g, n) != 1:
+                raise ValueError(f"generator {g} is not coprime to {n}")
+        elements = _subgroup(gens, n)
         _, exps = factor(n)
         phi, sigma, order = 1, 1, 1  # sigma's coset has order `order`
         for g, g_order, g_primes in _unit_generators(n, exps):
             phi *= g_order
             e = g_order
             for q in g_primes:
-                while e % q == 0 and pow(g, e // q, n) in member_set:
+                while e % q == 0 and pow(g, e // q, n) in elements:
                     e //= q
             # split lcm(order, e) = u * v with u | order, v | e coprime; then
             # sigma^(order/u) * g^(e/v) has coset order u * v
@@ -241,28 +216,15 @@ class Cyclotomic(_Value):
                 u, v = u // h, v * h
             sigma = pow(sigma, order // u, n) * pow(g, e // v, n) % n
             order = u * v
-        if order != phi // len(members):
+        if order != phi // len(elements):
             raise ValueError("the quotient by the subgroup is not cyclic")
-        self._set(n, members, order, tuple(sorted(exps)), sigma)
+        self._set(n, tuple(sorted(elements)), order, tuple(sorted(exps)), sigma)
 
     @classmethod
     def from_generators(cls, conductor: int, generators) -> "Cyclotomic":
-        """Descriptor with H the subgroup generated by the given residues.
-
-        The generators must be units mod N.  H is walked once, by cosets;
-        a span of units is a subgroup by construction, so none of the list
-        checks of Cyclotomic(N, residues) runs again, only cyclicity.
-        """
-        if not isinstance(conductor, int) or conductor < 3:
-            raise ValueError("conductor must be an integer >= 3")
-        gens = [g % conductor for g in generators]
-        for g in gens:
-            if gcd(g, conductor) != 1:
-                raise ValueError(f"generator {g} is not coprime to {conductor}")
-        elements = _subgroup(gens, conductor)
-        ext = object.__new__(cls)
-        ext._finish(conductor, tuple(sorted(elements)), elements)
-        return ext
+        """Descriptor with H the subgroup generated by the given residues,
+        which must be units mod N; the same as Cyclotomic(N, generators)."""
+        return cls(conductor, generators)
 
     def coset_index(self, a: int) -> int:
         """The k in Z/degree with the unit a mod N in sigma^k H."""
@@ -360,62 +322,47 @@ def quaternion_is_split(a, b) -> bool:
 class CyclicAlgebraClass(_Value):
     """A cyclic algebra (L/Q, sigma, b) presented by descriptor and scalar.
 
-    b_raw is the scalar produced by the reduction pipeline; b_normalized is
-    its m-th-power-free representative, the invariant of the class under
-    rescaling of the underlying functions.
-
-    primes holds the primes dividing b_raw, ascending; the local symbols
-    reuse them.  A caller that has factored b_raw passes them, and they are
-    checked by division; when b_normalized is the m-th-power-free part
-    their valuations give, b_raw / b_normalized is an m-th power without an
-    m-th root.  Otherwise b_raw is factored here.  primes is not compared.
+    b_raw is the scalar produced by the reduction pipeline.  The class
+    depends only on b_raw modulo m-th powers, and b_normalized, its
+    m-th-power-free representative, is derived here from b_raw's prime
+    exponents: a caller that has factored b_raw passes {p: v_p(b_raw)} as
+    exponents, whose keys are primes (one below 2 is refused) and whose
+    entries must multiply back to b_raw's |numerator| and denominator;
+    otherwise b_raw is factored here.  primes holds the primes dividing b_raw, ascending, and
+    the local symbols reuse them.  Neither b_normalized nor primes is
+    compared.
     """
 
     __slots__ = ("m", "ext", "b_raw", "b_normalized", "primes")
-    _fields = __slots__[:4]
+    _fields = __slots__[:3]
 
     def __init__(
         self,
         m: int,
         ext: Quadratic | Cyclotomic,
         b_raw: Fraction,
-        b_normalized: Fraction,
-        primes: tuple[int, ...] | None = None,
+        exponents: dict[int, int] | None = None,
     ):
-        b_raw, b_normalized = Fraction(b_raw), Fraction(b_normalized)
+        b_raw = Fraction(b_raw)
         if b_raw == 0:
             raise ValueError("the algebra scalar must be nonzero")
         if m != ext.degree:
             raise ValueError(f"m = {m} does not match extension degree {ext.degree}")
-        bad_primes, normal = None, False
-        if primes is not None:
-            primes = tuple(sorted(set(primes)))
-            if primes and primes[0] < 2:
-                bad_primes = f"{primes[0]} is not a prime"
-            else:
-                # s = sign * prod p^(v_p(b_raw) mod m), the normal form; an
-                # entry meeting only part of the denominator (a composite)
-                # has no valuation, and the m-th root decides
-                den = b_raw.denominator
-                rest, s, sound = abs(b_raw.numerator) * den, 1, True
-                for p in primes:
-                    v, rest = split_prime_power(rest, p)
-                    if den % p == 0:
-                        v = -v
-                    elif gcd(p, den) > 1:
-                        sound = False
-                    s *= p ** (v % m)
-                if rest != 1:
-                    bad_primes = "primes do not cover the numerator and denominator of b_raw"
-                elif sound:
-                    normal = b_normalized == (-s if m % 2 == 0 and b_raw < 0 else s)
-        if not normal and not is_mth_power(b_raw / b_normalized, m):
-            raise ValueError("b_raw / b_normalized is not an m-th power")
-        if bad_primes is not None:
-            raise ValueError(bad_primes)
-        if primes is None:
-            primes = tuple(sorted(rational_exponents(b_raw)))
-        self._set(m, ext, b_raw, b_normalized, primes)
+        if exponents is None:
+            exponents = rational_exponents(b_raw)
+        else:
+            num = den = 1
+            for p, e in exponents.items():
+                if p < 2:
+                    raise ValueError(f"{p} is not a prime")
+                if e > 0:
+                    num *= p**e
+                else:
+                    den *= p**-e
+            if num != abs(b_raw.numerator) or den != b_raw.denominator:
+                raise ValueError("exponents do not multiply back to b_raw")
+        b_normalized = mth_power_free_part(b_raw, m, exponents)
+        self._set(m, ext, b_raw, b_normalized, tuple(sorted(exponents)))
 
 
 def class_places(ext, b_primes) -> list:

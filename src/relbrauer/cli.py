@@ -412,6 +412,10 @@ def _job_from_args(argv) -> JobSpec:
     ns = _scan(argv)
     if ns is None:
         ns = _build_parser().parse_args(argv)
+        # argparse up to 3.12 reads an explicit '--name=--' as an empty list
+        for name, spec in _OPTIONS[ns.command][1].items():
+            if not isinstance(getattr(ns, name[2:]), spec.get("type", str)):
+                raise ParseError(f"argument {name}: expected one argument")
     curve = parse_curve(ns.curve)
     if ns.command == "torsion":
         return JobSpec("torsion", curve, output=ns.output)

@@ -34,7 +34,7 @@ from .brauer import (
     quaternion_group_invariants,
 )
 from .curve import INFINITY, ORDER_BOUND, CurvePoint, WeierstrassCurve
-from .exact import Poly, _Value, mth_power_free_part, rational_exponents
+from .exact import Poly, _Value, rational_exponents
 from .funcfield import EllFn
 
 
@@ -411,8 +411,8 @@ def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebr
 
     ext must be a degree-m extension descriptor; the class scalar b = c^k
     of pairing_scalar is reported raw and in m-th-power-free form.  Only the
-    period product c is factored, once: b's exponents are k times c's, for
-    both the normal form and the class's primes.
+    period product c is factored, once: b's exponents are k times c's, and
+    the class reads its normal form and its primes off them.
     """
     if ext.degree != cocycle.m:
         raise ValueError(
@@ -421,9 +421,7 @@ def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebr
     c, k = _period_product(cocycle, p)
     b = c**k
     exps = {q: e * k for q, e in rational_exponents(c).items()}
-    return CyclicAlgebraClass(
-        cocycle.m, ext, b, mth_power_free_part(b, cocycle.m, exps), tuple(exps)
-    )
+    return CyclicAlgebraClass(cocycle.m, ext, b, exps)
 
 
 def relative_brauer(cocycle: RationalCocycle, generators, ext) -> BrauerPresentation:

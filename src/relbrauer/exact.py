@@ -199,26 +199,23 @@ def _trial_divide(
     return m, d, step
 
 
-def factor(
-    n: int, *, trial_bound: int | None = None, rho_cap: int | None = None
-) -> tuple[int, dict[int, int]]:
+def factor(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as (sign, {prime: exponent}).
 
     sign * prod(p**e) == n.  After 2 and 3, trial division runs over the
     primes up to 10**3 and hands a composite cofactor to Pollard rho,
-    capped at rho_cap iterations (default 10**6) per split.  Only if rho
+    capped at RHO_ITERATION_CAP (10**6) iterations per split.  Only if rho
     gives up does the full sweep run as a backstop: trial division resumes
-    up to trial_bound (default 10**6), exiting early once the cofactor is 1
-    or probably prime, and a composite survivor the sweep shrank goes to rho
-    once more.  The worst case is two capped rho runs and one sweep.  After
-    a rho failure the result is what the full sweep followed by rho gives:
-    the factorization, or FactoringLimitExceeded naming n and the cofactor
-    that resisted.
+    up to TRIAL_DIVISION_BOUND (10**6), exiting early once the cofactor is
+    1 or probably prime, and a composite survivor the sweep shrank goes to
+    rho once more.  The worst case is two capped rho runs and one sweep.
+    After a rho failure the result is what the full sweep followed by rho
+    gives: the factorization, or FactoringLimitExceeded naming n and the
+    cofactor that resisted.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
-    bound = TRIAL_DIVISION_BOUND if trial_bound is None else trial_bound
-    cap = RHO_ITERATION_CAP if rho_cap is None else rho_cap
+    bound, cap = TRIAL_DIVISION_BOUND, RHO_ITERATION_CAP
     sign = -1 if n < 0 else 1
     m = abs(n)
     out: dict[int, int] = {}
@@ -326,36 +323,6 @@ def mth_power_free_part(r: Rat, m: int, exponents: dict[int, int] | None = None)
     if m % 2 == 0 and r < 0:
         s = -s
     return Fraction(s)
-
-
-def _is_integer_mth_power(n: int, m: int) -> bool:
-    """Whether n >= 0 is the m-th power of an integer (Newton from above)."""
-    if n < 2:
-        return True
-    x = 1 << -(-n.bit_length() // m)
-    while True:
-        y = ((m - 1) * x + n // x ** (m - 1)) // m
-        if y >= x:
-            return x**m == n
-        x = y
-
-
-def is_mth_power(r: Rat, m: int) -> bool:
-    """Whether the nonzero rational r is the m-th power of a rational.
-
-    The same answer as mth_power_free_part(r, m) == 1, without factoring:
-    |numerator| and denominator must be integer m-th powers, and for even
-    m, r must be positive.
-    """
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError("0 has no m-th-power-free part")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if m % 2 == 0 and r < 0:
-        return False
-    num, den = abs(r.numerator), r.denominator
-    return _is_integer_mth_power(num, m) and _is_integer_mth_power(den, m)
 
 
 class Poly:

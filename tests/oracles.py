@@ -6,9 +6,10 @@ classes by Hilbert symbols, the pairing scalar as the norm of a function
 and by its closed forms in Fraction arithmetic, the group law, the
 invariants, the short integral model and the pull back of a point in
 Fraction arithmetic, the rational torsion subgroup by the full Nagell-Lutz
-search, and the cyclotomic descriptor by a breadth-first closure with a
-closure check and a gcd per member.  seeded_models gives the curves and
-points the Fraction oracles are compared on.
+search, the cyclotomic descriptor by a breadth-first closure with a
+closure check and a gcd per member, and m-th powers of rationals by integer
+Newton roots.  seeded_models gives the curves and points the Fraction
+oracles are compared on.
 """
 
 import random
@@ -346,8 +347,8 @@ def _check_closed(members, member_set, n):
 
 
 def cyclotomic_fields(conductor, subgroup):
-    """What Cyclotomic(conductor, subgroup) holds, as a dict of subgroup,
-    degree, sigma, primes and literal, or the ValueError it raises: every
+    """What Cyclotomic holds for H listed in full as subgroup, as a dict of
+    subgroup, degree, sigma, primes and literal, or a ValueError: every
     check runs on the members one at a time (a gcd each, the closure by
     _check_closed), then cyclicity is read off the CRT unit generators."""
     n = conductor
@@ -386,8 +387,9 @@ def cyclotomic_fields(conductor, subgroup):
 
 
 def cyclotomic_fields_from_generators(conductor, generators):
-    """What Cyclotomic.from_generators holds or raises: H by a breadth-first
-    closure of the generators, then every check of cyclotomic_fields."""
+    """What Cyclotomic(conductor, generators) holds or raises: H by a
+    breadth-first closure of the generators, then every check of
+    cyclotomic_fields."""
     if not isinstance(conductor, int) or conductor < 3:
         raise ValueError("conductor must be an integer >= 3")
     gens = [g % conductor for g in generators]
@@ -404,3 +406,25 @@ def cyclotomic_fields_from_generators(conductor, generators):
                 closure.add(b)
                 frontier.append(b)
     return cyclotomic_fields(conductor, tuple(sorted(closure)))
+
+
+def _is_integer_mth_power(n, m):
+    """Whether n >= 0 is the m-th power of an integer (Newton from above)."""
+    if n < 2:
+        return True
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x**m == n
+        x = y
+
+
+def is_mth_power(r, m):
+    """Whether the nonzero rational r is the m-th power of a rational,
+    without factoring: |numerator| and denominator must be integer m-th
+    powers, and for even m, r must be positive."""
+    r = Fraction(r)
+    if m % 2 == 0 and r < 0:
+        return False
+    return _is_integer_mth_power(abs(r.numerator), m) and _is_integer_mth_power(r.denominator, m)

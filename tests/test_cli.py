@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -455,6 +457,28 @@ def _pool_argvs():
     return argvs
 
 
+def test_every_pool_answer_matches_its_reference():
+    # every reference-pool job through main, as it is and with --output
+    # json, checked by the benchmark's own checker (loaded, not modified)
+    import importlib.util
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_checker", bench / "checker.py")
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    runs = 0
+    for pool in sorted((bench / "reference").glob("*.json")):
+        for entries in json.loads(pool.read_text()).values():
+            for entry in entries:
+                for argv in (entry["argv"], entry["argv"] + ["--output", "json"]):
+                    out = io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                        code = main(argv)
+                    assert checker.check(argv, entry, code, out.getvalue()) is None, argv
+                    runs += 1
+    assert runs == 4580
+
+
 def test_scan_gives_argparse_namespace_on_every_pool_argv():
     from relbrauer.cli import _build_parser, _scan
 
@@ -569,6 +593,26 @@ def test_explicit_double_dash_value_is_a_literal(capsys):
     assert _scan(argv).t == "--"
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: cannot parse point '--'; expected 'O' or 'x,y'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["pairing", "--cur", _C, "--t=--", *_REST[2:]], "--t"),
+        (["relbr", "--cur", _C, *_REST[:4], *_REST[6:], "--gens=--"], "--gens"),
+        (["torsion", "--cur=--"], "--curve"),
+    ],
+)
+def test_explicit_double_dash_left_to_argparse_is_a_parse_error(argv, name, capsys):
+    # an abbreviation sends the argv to argparse, which up to 3.12 reads
+    # --name=-- as an empty list: the job names the option and exits 1
+    from relbrauer.cli import _build_parser
+
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if getattr(_build_parser().parse_args(argv), name[2:]) == []:
+        assert err == f"error: argument {name}: expected one argument\n"
 
 
 def test_literal_reads_integers_without_the_fraction_regex():

@@ -687,9 +687,9 @@ def test_brauer_pairing_factors_c_not_its_power(monkeypatch):
     calls = []
     factor = exact_mod.factor
 
-    def counted_factor(k, **kwargs):
+    def counted_factor(k):
         calls.append(k)
-        return factor(k, **kwargs)
+        return factor(k)
 
     monkeypatch.setattr(exact_mod, "factor", counted_factor)
     monkeypatch.setattr(brauer_mod, "factor", counted_factor)
@@ -702,9 +702,10 @@ def test_brauer_pairing_factors_c_not_its_power(monkeypatch):
 
 def test_large_m_class_is_decided_within_budget():
     # E1 with t = p = (5, 5) and m = 250,000 over cyclo:N:h, N = 15m + 1
-    # prime and h = g^m: b_raw = 1/11^50000.  The class constructor and the
-    # local symbol at 11 take v_11 by repeated squaring; one division by 11
-    # at a time took 5.1 s for the two calls below on a 2-core VM
+    # prime and h = g^m: b_raw = 1/11^50000.  The class constructor reads
+    # v_11 off the exponents brauer_pairing passes, and the local symbol at
+    # 11 takes it by repeated squaring; one division by 11 at a time took
+    # 5.1 s for the two calls below on a 2-core VM
     import time
 
     n, m = 3750001, 250000

@@ -11,12 +11,13 @@ from relbrauer.exact import (
     Poly,
     divisors,
     factor,
-    is_mth_power,
     is_probable_prime,
     mth_power_free_part,
     poly_gcd,
     split_prime_power,
 )
+
+from oracles import is_mth_power
 
 M61 = 2**61 - 1
 
@@ -67,15 +68,26 @@ def test_factor_beyond_trial_division_uses_rho():
     assert factor(n) == (1, {1000003: 1, 1000033: 1})
 
 
-def test_factor_limit_exceeded():
+def _limit(monkeypatch, trial_bound, rho_cap):
+    import relbrauer.exact as exact
+
+    monkeypatch.setattr(exact, "TRIAL_DIVISION_BOUND", trial_bound)
+    monkeypatch.setattr(exact, "RHO_ITERATION_CAP", rho_cap)
+
+
+def test_factor_limit_exceeded(monkeypatch):
+    _limit(monkeypatch, 10, 50)
     with pytest.raises(FactoringLimitExceeded):
-        factor(M61 * M61, trial_bound=10, rho_cap=50)
+        factor(M61 * M61)
 
 
-def test_factor_backstop_sweep_runs_when_rho_gives_up():
+def test_factor_backstop_sweep_runs_when_rho_gives_up(monkeypatch):
     # 1009 lies above the small-prime stage and one rho iteration cannot
     # split the product, so only the fallback trial division finds it
-    assert factor(1009 * 1000003, rho_cap=1) == (1, {1009: 1, 1000003: 1})
+    import relbrauer.exact as exact
+
+    _limit(monkeypatch, exact.TRIAL_DIVISION_BOUND, 1)
+    assert factor(1009 * 1000003) == (1, {1009: 1, 1000003: 1})
 
 
 def test_factor_does_not_rerun_rho_on_an_unchanged_cofactor(monkeypatch):
@@ -89,15 +101,17 @@ def test_factor_does_not_rerun_rho_on_an_unchanged_cofactor(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(exact, "_split_with_rho", counting)
+    _limit(monkeypatch, 2000, 50)
     with pytest.raises(FactoringLimitExceeded):
-        factor(M61 * M61, trial_bound=2000, rho_cap=50)
+        factor(M61 * M61)
     assert calls == [M61 * M61]
 
 
-def test_factor_limit_names_the_input():
+def test_factor_limit_names_the_input(monkeypatch):
     n = 7 * M61 * M61
+    _limit(monkeypatch, 10, 50)
     with pytest.raises(FactoringLimitExceeded) as excinfo:
-        factor(n, trial_bound=10, rho_cap=50)
+        factor(n)
     assert str(n) in str(excinfo.value)
     assert str(M61 * M61) in str(excinfo.value)
 
@@ -170,6 +184,8 @@ def test_mth_power_free_part_contract():
 
 
 def test_is_mth_power_matches_power_free_part():
+    # mth_power_free_part(r, m) == 1 exactly when r is an m-th power, which
+    # the oracle decides by integer roots, without factoring
     rng = random.Random(4111)
     for m in range(2, 13):
         cases = [F(2**m * 3), F(1, 2**m * 3), F(3**m + 1), F(5**m, 7**m), F(2**m)]
@@ -182,10 +198,8 @@ def test_is_mth_power_matches_power_free_part():
             for signed in (r, -r):
                 expected = mth_power_free_part(signed, m) == 1
                 assert is_mth_power(signed, m) is expected, (signed, m)
-    assert is_mth_power(F(-27, 8), 3) and not is_mth_power(F(-16), 4)
-    assert is_mth_power(F(-7), 1)
-    with pytest.raises(ValueError):
-        is_mth_power(F(0), 2)
+    assert mth_power_free_part(F(-27, 8), 3) == 1 and mth_power_free_part(F(-16), 4) == -1
+    assert mth_power_free_part(F(-7), 1) == 1
 
 
 def test_poly_construction_and_degree():
