@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter
 
 Rat = Fraction
@@ -154,23 +154,64 @@ def _pollard_rho_brent(n: int, cap: int, rng: random.Random) -> int | None:
     return None
 
 
-def _split_with_rho(m: int, cap: int, out: dict[int, int], n: int) -> None:
+def _integer_root(v: int, k: int) -> int:
+    """The integer part of the k-th root of v >= 1, exactly and with no float.
+
+    isqrt for k = 2; otherwise Newton's step on integers from 2^ceil(bits/k),
+    which lies above the root, so the iterates fall to the root and stop.
+    """
+    if k == 2:
+        return isqrt(v)
+    x = 1 << -(-v.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + v // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(v: int, floor: int) -> tuple[int, int]:
+    """(r, k) with v == r**k for the least prime k that has one, else (v, 1).
+
+    Every prime of v lies at or above floor, so v can be a k-th power only
+    when floor**k <= v, and only those prime k are tried.
+    """
+    k, least = 2, floor * floor
+    while least <= v:
+        if is_probable_prime(k):
+            r = _integer_root(v, k)
+            if r**k == v:
+                return r, k
+        k += 1
+        least *= floor
+    return v, 1
+
+
+def _split_with_rho(m: int, floor: int, cap: int, out: dict[int, int], n: int) -> None:
+    """Add the primes of m, all at or above floor, to out, splitting by rho.
+
+    A composite that is a perfect k-th power r**k goes back as r with its
+    exponent times k, so p**6 becomes p**3 and then p, and rho only meets
+    composites that are not powers.
+    """
     rng = random.Random(m)
-    stack = [m]
+    stack = [(m, 1)]
     while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
+        v, e = stack.pop()
         if is_probable_prime(v):
-            out[v] = out.get(v, 0) + 1
+            out[v] = out.get(v, 0) + e
+            continue
+        r, k = _perfect_power(v, floor)
+        if k > 1:
+            stack.append((r, e * k))
             continue
         d = _pollard_rho_brent(v, cap, rng)
         if d is None:
             raise FactoringLimitExceeded(
                 f"factoring {n}: composite cofactor {v} resisted {cap} rho iterations"
             )
-        stack.append(d)
-        stack.append(v // d)
+        stack.append((d, e))
+        stack.append((v // d, e))
 
 
 def _trial_divide(
@@ -204,14 +245,18 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
 
     sign * prod(p**e) == n.  After 2 and 3, trial division runs over the
     primes up to 10**3 and hands a composite cofactor to Pollard rho,
-    capped at RHO_ITERATION_CAP (10**6) iterations per split.  Only if rho
-    gives up does the full sweep run as a backstop: trial division resumes
-    up to TRIAL_DIVISION_BOUND (10**6), exiting early once the cofactor is
-    1 or probably prime, and a composite survivor the sweep shrank goes to
-    rho once more.  The worst case is two capped rho runs and one sweep.
+    capped at RHO_ITERATION_CAP (10**6) iterations per split.  Before rho,
+    a composite that is a perfect k-th power (k prime) is replaced by its
+    integer k-th root with its exponent times k, so rho splits only
+    composites that are not powers.  Only if rho gives up does the full
+    sweep run as a backstop: trial division resumes up to
+    TRIAL_DIVISION_BOUND (10**6), exiting early once the cofactor is 1 or
+    probably prime, and a composite survivor the sweep shrank goes to rho
+    once more.  The worst case is two capped rho runs and one sweep.
     After a rho failure the result is what the full sweep followed by rho
     gives: the factorization, or FactoringLimitExceeded naming n and the
-    cofactor that resisted.
+    cofactor that resisted; when that cofactor is a perfect power, the
+    error names its root, the composite rho was given.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
@@ -235,7 +280,7 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
         # a composite cofactor with the sweep unfinished: try rho first
         found = dict(out)
         try:
-            _split_with_rho(m, cap, found, n)
+            _split_with_rho(m, d, cap, found, n)
         except FactoringLimitExceeded:
             rest = m
             m, d, step = _trial_divide(m, d, step, bound, out)
@@ -248,7 +293,7 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
             # trial division certified m prime
             out[m] = out.get(m, 0) + 1
         else:
-            _split_with_rho(m, cap, out, n)
+            _split_with_rho(m, d, cap, out, n)
     return sign, out
 
 

@@ -287,9 +287,19 @@ def test_exit_code_factoring_limit(monkeypatch, capsys):
 
     monkeypatch.setattr(exact, "TRIAL_DIVISION_BOUND", 10)
     monkeypatch.setattr(exact, "RHO_ITERATION_CAP", 50)
-    m61 = 2**61 - 1
-    assert main(["torsion", "--curve", f"[0,{m61}]"]) == 2
+    # the discriminant holds (M61 * M89)**2, whose root rho cannot split
+    m61, m89 = 2**61 - 1, 2**89 - 1
+    assert main(["torsion", "--curve", f"[0,{m61 * m89}]"]) == 2
     assert "factoring limit" in capsys.readouterr().err
+
+
+def test_torsion_with_a_squared_mersenne_prime_in_the_discriminant(capsys):
+    # the discriminant holds (2^127 - 1)^2, which rho alone cannot split
+    # within its cap; the power step takes the square root first
+    m127 = 2**127 - 1
+    assert main(["torsion", "--curve", f"[0,{m127}]"]) == 0
+    out = capsys.readouterr().out
+    assert "\ntorsion: trivial (order 1)\n" in out and out.endswith("elements: O\n")
 
 
 def test_exit_code_nonconstant_cocycle(monkeypatch, capsys):

@@ -1,8 +1,13 @@
 """Integer factoring, power-free parts, and exact polynomial arithmetic."""
 
+import io
+import json
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +22,12 @@ from relbrauer.exact import (
     split_prime_power,
 )
 
-from oracles import is_mth_power
+from oracles import _is_integer_mth_power, is_mth_power
 
 M61 = 2**61 - 1
+M89 = 2**89 - 1
+M127 = 2**127 - 1
+DECIDE_M2 = Path(__file__).resolve().parents[1] / "bench" / "reference" / "decide_m2.json"
 
 
 def test_is_probable_prime_small():
@@ -76,9 +84,16 @@ def _limit(monkeypatch, trial_bound, rho_cap):
 
 
 def test_factor_limit_exceeded(monkeypatch):
+    # M61 * M89 is no perfect power, and 50 rho iterations cannot split it
     _limit(monkeypatch, 10, 50)
     with pytest.raises(FactoringLimitExceeded):
-        factor(M61 * M61)
+        factor(M61 * M89)
+
+
+def test_factor_splits_a_square_under_tight_caps(monkeypatch):
+    # the power step takes the square root, so rho never sees M61**2
+    _limit(monkeypatch, 10, 50)
+    assert factor(M61**2) == (1, {M61: 2})
 
 
 def test_factor_backstop_sweep_runs_when_rho_gives_up(monkeypatch):
@@ -103,17 +118,29 @@ def test_factor_does_not_rerun_rho_on_an_unchanged_cofactor(monkeypatch):
     monkeypatch.setattr(exact, "_split_with_rho", counting)
     _limit(monkeypatch, 2000, 50)
     with pytest.raises(FactoringLimitExceeded):
-        factor(M61 * M61)
-    assert calls == [M61 * M61]
+        factor(M61 * M89)
+    assert calls == [M61 * M89]
 
 
 def test_factor_limit_names_the_input(monkeypatch):
-    n = 7 * M61 * M61
+    n = 7 * M61 * M89
     _limit(monkeypatch, 10, 50)
     with pytest.raises(FactoringLimitExceeded) as excinfo:
         factor(n)
     assert str(n) in str(excinfo.value)
-    assert str(M61 * M61) in str(excinfo.value)
+    assert str(M61 * M89) in str(excinfo.value)
+
+
+def test_factor_limit_names_the_root_of_a_power(monkeypatch):
+    # the resisting cofactor (M61 * M89)**2 reaches rho as its square root
+    n = 7 * (M61 * M89) ** 2
+    _limit(monkeypatch, 10, 50)
+    with pytest.raises(FactoringLimitExceeded) as excinfo:
+        factor(n)
+    message = str(excinfo.value)
+    assert str(n) in message
+    assert f"cofactor {M61 * M89} resisted" in message
+    assert str((M61 * M89) ** 2) not in message
 
 
 def test_factor_matches_sympy():
@@ -130,6 +157,109 @@ def test_factor_matches_sympy():
         n *= rng.choice((1, -1))
         expected = {int(p): e for p, e in sympy.factorint(abs(n)).items()}
         assert factor(n) == (-1 if n < 0 else 1, expected), n
+
+
+def test_integer_root_brackets_the_root():
+    from relbrauer.exact import _integer_root
+
+    rng = random.Random(1807)
+    for _ in range(300):
+        k = rng.randrange(2, 14)
+        r = rng.choice((rng.randrange(2, 50), rng.randrange(2, 10**9), rng.randrange(2, 2**200)))
+        for v in (r**k - 1, r**k, r**k + 1):
+            root = _integer_root(v, k)
+            assert root**k <= v < (root + 1) ** k, (v, k)
+    assert _integer_root(1, 5) == 1 and _integer_root(M127**9, 9) == M127
+
+
+def _record_rho_inputs(monkeypatch):
+    """The list that every composite handed to rho is appended to."""
+    import relbrauer.exact as exact
+
+    real, received = exact._pollard_rho_brent, []
+
+    def recording(n, cap, rng):
+        received.append(n)
+        return real(n, cap, rng)
+
+    monkeypatch.setattr(exact, "_pollard_rho_brent", recording)
+    return received
+
+
+def _is_perfect_power(v):
+    return any(_is_integer_mth_power(v, k) for k in range(2, v.bit_length()))
+
+
+def test_factor_splits_perfect_powers(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1808)
+    p_small, q_small = (sympy.nextprime(rng.randrange(10**3, 10**5)) for _ in range(2))
+    p_large, q_large = (sympy.nextprime(rng.randrange(10**6, 10**9)) for _ in range(2))
+    cases = [p**k for p in (1009, p_small, p_large) for k in range(2, 13)]
+    for p, q in ((p_small, q_small), (p_large, q_large), (p_small, q_large)):
+        cases += [(p * q) ** k for k in (2, 3, 4, 6, 12)]
+        cases += [p * p * q, q * q * p, 7 * p**4, 7 * q**4]
+    received = _record_rho_inputs(monkeypatch)
+    for n in cases:
+        expected = {int(p): e for p, e in sympy.factorint(n).items()}
+        assert factor(n) == (1, expected), n
+    assert received and not any(_is_perfect_power(v) for v in received)
+
+
+def test_factor_splits_powers_above_2_1024(monkeypatch):
+    received = _record_rho_inputs(monkeypatch)
+    for n, expected in ((M127**9, {M127: 9}), ((1000003 * M127) ** 8, {1000003: 8, M127: 8})):
+        assert n.bit_length() > 1024
+        assert factor(n) == (1, expected)
+    assert received == [1000003 * M127]
+
+
+def _factor_inputs(monkeypatch, pool_classes):
+    """Every integer factor receives while main runs the decide_m2 pool
+    jobs of the given classes."""
+    import relbrauer.exact as exact
+    from relbrauer.cli import main
+
+    real, seen = exact.factor, []
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    pools = json.loads(DECIDE_M2.read_text())
+    with monkeypatch.context() as patch:
+        # every module that bound the name, as bench/tracer.py does
+        for name, module in list(sys.modules.items()):
+            if name == "relbrauer" or name.startswith("relbrauer."):
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        patch.setattr(module, key, recording)
+        for cls in pool_classes:
+            for entry in pools[cls]:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    main(entry["argv"])
+    return seen
+
+
+def test_factor_matches_sympy_on_the_decide_m2_pool(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    seen = _factor_inputs(monkeypatch, ("small_n", "large_n", "conductor"))
+    assert len(seen) > 2000
+    for n in set(seen):
+        expected = {int(p): e for p, e in sympy.factorint(abs(n)).items()}
+        assert factor(n) == (-1 if n < 0 else 1, expected), n
+
+
+def test_rho_receives_no_perfect_power_on_the_large_n_squares(monkeypatch):
+    squares = [n for n in _factor_inputs(monkeypatch, ("large_n",)) if n > 1 and isqrt(n) ** 2 == n]
+    assert len(squares) == 129
+    received = _record_rho_inputs(monkeypatch)
+    for n in squares:
+        _, expo = factor(n)
+        assert all(e % 2 == 0 for e in expo.values()), n
+    # each square root is a product of two primes above 10**6: one rho split
+    assert len(received) == len(squares)
+    assert not any(_is_perfect_power(v) for v in received)
 
 
 def test_divisors():
