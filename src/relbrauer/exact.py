@@ -23,10 +23,10 @@ from operator import attrgetter
 
 Rat = Fraction
 
-TRIAL_DIVISION_BOUND = 10**6
+# trial division runs this far, then rho takes the cofactor: rho finds a
+# prime p in about sqrt(p) squarings, far below its cap for any p <= 10**6
+TRIAL_DIVISION_BOUND = 10**3
 RHO_ITERATION_CAP = 10**6
-# trial division runs this far before rho; the rest of the sweep is a backstop
-_SMALL_PRIME_BOUND = 10**3
 
 # Deterministic Miller-Rabin witness set below ~3.3e24; probabilistic above.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -214,15 +214,34 @@ def _split_with_rho(m: int, floor: int, cap: int, out: dict[int, int], n: int) -
         stack.append((v // d, e))
 
 
-def _trial_divide(
-    m: int, d: int, step: int, bound: int, out: dict[int, int]
-) -> tuple[int, int, int]:
-    """Divide the candidates d, d + step, ... (6k +- 1) up to bound out of m.
+def factor(n: int) -> tuple[int, dict[int, int]]:
+    """Factor a nonzero integer as (sign, {prime: exponent}), in one pass.
 
-    Stops once d * d > m, or once the cofactor is 1 or probably prime (a
-    prime cofactor goes into out and 1 is returned).  Returns the cofactor
-    and the next (d, step), so a later call resumes where this one stopped.
+    sign * prod(p**e) == n.  After 2 and 3, trial division runs over the
+    candidates 6k +- 1 up to TRIAL_DIVISION_BOUND (10**3), stopping once
+    the cofactor is 1, probably prime, or below the square of the next
+    candidate.  A composite cofactor goes to Pollard rho, capped at
+    RHO_ITERATION_CAP (10**6) iterations per split.  Before rho, a
+    composite that is a perfect k-th power (k prime) is replaced by its
+    integer k-th root with its exponent times k, so rho splits only
+    composites that are not powers.  A refusal costs one capped rho run
+    after the splits that succeeded: FactoringLimitExceeded names n and
+    the cofactor that resisted; when that cofactor is a perfect power,
+    the error names its root, the composite rho was given.
     """
+    if n == 0:
+        raise ValueError("0 has no factorization")
+    sign = -1 if n < 0 else 1
+    m = abs(n)
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    if is_probable_prime(m):
+        out[m] = 1
+        m = 1
+    bound, d, step = TRIAL_DIVISION_BOUND, 5, 2
     while d <= bound and d * d <= m:
         if m % d == 0:
             e = 0
@@ -230,70 +249,17 @@ def _trial_divide(
                 m //= d
                 e += 1
             out[d] = e
-            if m == 1:
-                break
             if is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-                return 1, d, step
+                out[m] = 1
+                m = 1
         d += step
         step = 6 - step
-    return m, d, step
-
-
-def factor(n: int) -> tuple[int, dict[int, int]]:
-    """Factor a nonzero integer as (sign, {prime: exponent}).
-
-    sign * prod(p**e) == n.  After 2 and 3, trial division runs over the
-    primes up to 10**3 and hands a composite cofactor to Pollard rho,
-    capped at RHO_ITERATION_CAP (10**6) iterations per split.  Before rho,
-    a composite that is a perfect k-th power (k prime) is replaced by its
-    integer k-th root with its exponent times k, so rho splits only
-    composites that are not powers.  Only if rho gives up does the full
-    sweep run as a backstop: trial division resumes up to
-    TRIAL_DIVISION_BOUND (10**6), exiting early once the cofactor is 1 or
-    probably prime, and a composite survivor the sweep shrank goes to rho
-    once more.  The worst case is two capped rho runs and one sweep.
-    After a rho failure the result is what the full sweep followed by rho
-    gives: the factorization, or FactoringLimitExceeded naming n and the
-    cofactor that resisted; when that cofactor is a perfect power, the
-    error names its root, the composite rho was given.
-    """
-    if n == 0:
-        raise ValueError("0 has no factorization")
-    bound, cap = TRIAL_DIVISION_BOUND, RHO_ITERATION_CAP
-    sign = -1 if n < 0 else 1
-    m = abs(n)
-    out: dict[int, int] = {}
-    if m == 1:
-        return sign, out
-    for p in (2, 3):
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    if m == 1:
-        return sign, out
-    if is_probable_prime(m):
-        out[m] = out.get(m, 0) + 1
-        return sign, out
-    m, d, step = _trial_divide(m, 5, 2, min(bound, _SMALL_PRIME_BOUND), out)
-    if m > 1 and d * d <= m and d <= bound:
-        # a composite cofactor with the sweep unfinished: try rho first
-        found = dict(out)
-        try:
-            _split_with_rho(m, d, cap, found, n)
-        except FactoringLimitExceeded:
-            rest = m
-            m, d, step = _trial_divide(m, d, step, bound, out)
-            if m == rest:
-                raise  # rho would rerun the same seeded search on the same m
-        else:
-            return sign, found
     if m > 1:
         if d * d > m:
             # trial division certified m prime
-            out[m] = out.get(m, 0) + 1
+            out[m] = 1
         else:
-            _split_with_rho(m, d, cap, out, n)
+            _split_with_rho(m, d, RHO_ITERATION_CAP, out, n)
     return sign, out
 
 

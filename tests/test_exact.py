@@ -96,13 +96,31 @@ def test_factor_splits_a_square_under_tight_caps(monkeypatch):
     assert factor(M61**2) == (1, {M61: 2})
 
 
-def test_factor_backstop_sweep_runs_when_rho_gives_up(monkeypatch):
-    # 1009 lies above the small-prime stage and one rho iteration cannot
-    # split the product, so only the fallback trial division finds it
+def test_factor_refuses_when_rho_gives_up_above_the_trial_bound(monkeypatch):
+    # 1009 lies above the default trial bound and one rho iteration cannot
+    # split the product, so factor refuses after that one rho run
     import relbrauer.exact as exact
 
     _limit(monkeypatch, exact.TRIAL_DIVISION_BOUND, 1)
-    assert factor(1009 * 1000003) == (1, {1009: 1, 1000003: 1})
+    with pytest.raises(FactoringLimitExceeded) as excinfo:
+        factor(1009 * 1000003)
+    assert str(excinfo.value) == (
+        "factoring 1009003027: composite cofactor 1009003027 resisted 1 rho iterations"
+    )
+
+
+def test_rho_finds_every_prime_the_trial_bound_leaves_out(monkeypatch):
+    # rho finds a prime p in about sqrt(p) squarings: with p <= 10**6 it
+    # splits p * q well within a cap far below RHO_ITERATION_CAP, so no
+    # trial division beyond 10**3 is needed
+    sympy = pytest.importorskip("sympy")
+    _limit(monkeypatch, 10**3, 5 * 10**4)
+    rng = random.Random(1901)
+    for _ in range(40):
+        p = sympy.prevprime(rng.choice((rng.randrange(1012, 10**6), 10**6 - rng.randrange(10**3))))
+        q = sympy.randprime(2 ** rng.randrange(60, 120), 2**120)
+        expected = {int(r): e for r, e in sympy.factorint(p * q).items()}
+        assert factor(p * q) == (1, expected), (p, q)
 
 
 def test_factor_does_not_rerun_rho_on_an_unchanged_cofactor(monkeypatch):
