@@ -30,6 +30,10 @@ from .exact import (
 
 INFINITE_PLACE = "infinity"
 
+# Cyclotomic walks all of H, which may hold up to phi(N) residues, so its
+# conductor is bounded; Quadratic walks no H and takes any d
+CONDUCTOR_BOUND = 10**7
+
 
 def _jacobi(a: int, n: int) -> int:
     # n odd and positive
@@ -177,6 +181,7 @@ class Cyclotomic(_Value):
     that generates H, and subgroup then holds all of H, sorted, so that the
     repr is a constructor call for the same value.  H is walked once, by
     cosets (_subgroup); a span of units is a subgroup by construction.
+    The walk grows with |H|, so N above CONDUCTOR_BOUND is refused first.
     Cyclicity is read off the CRT generators g_i of G: G/H is cyclic iff
     the lcm of the orders of the cosets g_i H, its exponent, is |G| / |H|.
     That takes a few modular powers per generator and yields sigma, a
@@ -196,6 +201,8 @@ class Cyclotomic(_Value):
         n = self.conductor
         if not isinstance(n, int) or n < 3:
             raise ValueError("conductor must be an integer >= 3")
+        if n > CONDUCTOR_BOUND:
+            raise ValueError(f"conductor {n} exceeds the cyclo bound {CONDUCTOR_BOUND}")
         gens = [g % n for g in self.subgroup]
         for g in gens:
             if gcd(g, n) != 1:

@@ -216,8 +216,17 @@ def run(job: JobSpec) -> dict:
     raise ValueError(f"unknown command {job.command!r}")
 
 
+def _torsion(curve: WeierstrassCurve):
+    """torsion_subgroup, with a factoring refusal that names the torsion
+    search and the curve the user gave."""
+    try:
+        return torsion_subgroup(curve)
+    except FactoringLimitExceeded as exc:
+        raise FactoringLimitExceeded(f"torsion search on {curve.equation()}: {exc}") from None
+
+
 def _run_torsion(job: JobSpec) -> dict:
-    group = torsion_subgroup(job.curve)
+    group = _torsion(job.curve)
     return {
         "schema": "1",
         "command": "torsion",
@@ -258,7 +267,7 @@ def _run_relbr(job: JobSpec) -> dict:
     cocycle = RationalCocycle(job.curve, job.m, job.t)
     if job.gens_auto:
         print(RANK_WARNING, file=sys.stderr)
-        generators = torsion_subgroup(job.curve).generators
+        generators = _torsion(job.curve).generators
     else:
         generators = tuple((point, _point_order(cocycle, point)) for point in job.gens)
     presentation = relative_brauer(cocycle, generators, job.ext)
@@ -420,7 +429,10 @@ def _job_from_args(argv) -> JobSpec:
     if ns.command == "torsion":
         return JobSpec("torsion", curve, output=ns.output)
     t = parse_point(ns.t, curve)
-    ext = parse_extension(ns.ext)
+    try:
+        ext = parse_extension(ns.ext)
+    except FactoringLimitExceeded as exc:
+        raise FactoringLimitExceeded(f"--ext {ns.ext}: {exc}") from None
     if ns.command == "pairing":
         p = parse_point(ns.p, curve)
         return JobSpec("pairing", curve, output=ns.output, t=t, m=ns.m, p=p, ext=ext)

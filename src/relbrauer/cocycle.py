@@ -166,9 +166,7 @@ def two_cocycle(cocycle: RationalCocycle, p: CurvePoint, rescale=None) -> TwoCoc
     curve = cocycle.curve
     curve._require(p)
     m = cocycle.m
-    shifts = [INFINITY]
-    for _ in range(m - 1):
-        shifts.append(curve.add(shifts[-1], cocycle.t))
+    shifts = [cocycle.value(i) for i in range(m)]
     fs = [cocycle_function(curve, shift, p) for shift in shifts]
     if rescale is not None:
         scales = [Fraction(c) for c in rescale]

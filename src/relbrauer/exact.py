@@ -5,10 +5,7 @@ desk-scale integer factoring, and m-th-power-free normalization of rationals.
 
 Rationals are stdlib fractions.Fraction throughout the package; Fraction
 already enforces the canonical form (reduced, positive denominator, a unique
-zero), so no wrapper type is introduced.  Poly takes and returns Fractions
-but computes fraction-free: integer numerators over one common denominator,
-with division by pseudo-division over Z (Knuth, TAOCP vol. 2, 4.6.1), so
-its inner loops make no Fraction.
+zero), so no wrapper type is introduced.
 
 _Value, the base of the package's immutable value classes, lives here
 because every other module imports this one.
@@ -18,7 +15,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import zip_longest
+from math import gcd, isqrt
 from operator import attrgetter
 
 Rat = Fraction
@@ -337,131 +335,90 @@ def mth_power_free_part(r: Rat, m: int, exponents: dict[int, int] | None = None)
 
 
 class Poly:
-    """Dense univariate polynomial over Q, coefficients lowest first.
+    """Dense univariate polynomial over Q.
 
-    Stored fraction-free: a list of integer numerators `_num` with no
-    trailing zero, over one positive common denominator `_den` with
-    gcd(_den, content of _num) = 1.  Each polynomial has exactly one
-    representation; the zero polynomial is ([], 1) and has degree -1.
-    `coeffs` gives the coefficients as a tuple of Fractions.
+    `coeffs` is a tuple of Fractions, lowest degree first, with no trailing
+    zero, so each polynomial has one representation; the zero polynomial
+    has coeffs () and degree -1.  Arithmetic is schoolbook over Q, and
+    division is long division.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs]
-        while num and not num[-1]:
-            num.pop()
-        # den is the lcm of reduced denominators, so it is already coprime
-        # to the content of num
-        _set_num(self, num)
-        _set_den(self, den)
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        d = self._den
-        return tuple(Fraction(c, d) for c in self._num)
-
-    @property
     def is_zero(self) -> bool:
-        return not self._num
+        return not self.coeffs
 
     @property
     def degree(self) -> int:
-        return len(self._num) - 1
+        return len(self.coeffs) - 1
 
     @property
     def lc(self) -> Fraction:
-        if not self._num:
+        if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
+        return self.coeffs[-1]
 
     def monic(self) -> "Poly":
-        num = self._num
-        if not num or num[-1] == self._den:  # zero, or lc == 1
+        cs = self.coeffs
+        if not cs or cs[-1] == 1:
             return self
-        g = gcd(*num)
-        if num[-1] < 0:
-            g = -g
-        return _raw([c // g for c in num], num[-1] // g)
+        return Poly([c / cs[-1] for c in cs])
 
     def __call__(self, x: Fraction) -> Fraction:
-        num = self._num
-        if not num:
-            return Fraction(0)
-        p, q = x.numerator, x.denominator
-        acc = num[-1]
-        qk = 1
-        for c in reversed(num[:-1]):
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, self._den * qk)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     @staticmethod
     def _coerce(other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return _normalized([other.numerator], other.denominator)
+            return Poly((other,))
         return None
-
-    def _plus(self, other, sign: int) -> "Poly":
-        an, ad, bn, bd = self._num, self._den, other._num, other._den
-        if ad != bd:
-            g = gcd(ad, bd)
-            ma, mb = bd // g, ad // g
-            ad *= ma
-            an = [c * ma for c in an]
-            bn = [c * mb for c in bn]
-        if sign < 0:
-            bn = [-c for c in bn]
-        if len(an) < len(bn):
-            an, bn = bn, an
-        out = list(an)
-        for i, c in enumerate(bn):
-            out[i] += c
-        return _normalized(out, ad)
 
     def __add__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return self._plus(other, 1)
+        return Poly([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw([-c for c in self._num], self._den)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return self._plus(other, -1)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _normalized([c * p for c in self._num], self._den * other.denominator)
+            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._num, other._num
-        if not a or not b:
-            return _raw([], 1)
+        a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _normalized(out, self._den * other._den)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return Poly(out)
 
     __rmul__ = __mul__
 
@@ -483,54 +440,22 @@ class Poly:
             base = base * base
 
     def __divmod__(self, other):
-        """(quotient, remainder) by pseudo-division over Z.
-
-        With self = A/da and other = B/db, each step scales the running
-        remainder (and the quotient found so far) by just enough,
-        |lead(B)| / gcd(lead(B), c), to make the next quotient coefficient
-        an integer; the product s of those scales gives
-        s*A = Q*B + R, whence the rational quotient Q*db/(s*da) and
-        remainder R/(s*da).
-        """
+        """(quotient, remainder) by long division over Q."""
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        b = other._num
+        b = other.coeffs
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         dq = len(b) - 1
-        if len(self._num) <= dq:
-            return _raw([], 1), self
-        rem = list(self._num)
-        lead = b[-1]
-        alead = abs(lead)
-        lower = b[:-1]
+        rem = list(self.coeffs)
+        lead, lower = b[-1], b[:-1]
         quot = [0] * (len(rem) - dq)
-        scale = 1
         for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dq]
-            if not c:
-                continue
-            g = gcd(alead, c)
-            f = alead // g
-            if f != 1:
-                scale *= f
-                for i in range(k + dq):
-                    rem[i] *= f
-                for i in range(k + 1, len(quot)):
-                    quot[i] *= f
-            c //= g
-            if lead < 0:
-                c = -c
-            quot[k] = c
+            c = quot[k] = rem[k + dq] / lead
             for i, y in enumerate(lower, k):
                 rem[i] -= c * y
-        den = scale * self._den
-        db = other._den
-        if db != 1:
-            quot = [c * db for c in quot]
-        del rem[dq:]
-        return _normalized(quot, den), _normalized(rem, den)
+        return Poly(quot), Poly(rem[:dq])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -542,13 +467,13 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return self._den == other._den and self._num == other._num
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self._num)
+        return bool(self.coeffs)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -572,32 +497,6 @@ class Poly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-_set_num = Poly._num.__set__
-_set_den = Poly._den.__set__
-
-
-def _raw(num: list, den: int) -> Poly:
-    """A Poly that takes ownership of `num`, which must already be in
-    canonical form with `den`."""
-    p = object.__new__(Poly)
-    _set_num(p, num)
-    _set_den(p, den)
-    return p
-
-
-def _normalized(num: list, den: int) -> Poly:
-    """A Poly that takes ownership of `num` over den > 0: trailing zeros
-    are stripped and gcd(den, content) divided out."""
-    while num and not num[-1]:
-        num.pop()
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-    return _raw(num, den)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -293,6 +293,69 @@ def test_exit_code_factoring_limit(monkeypatch, capsys):
     assert "factoring limit" in capsys.readouterr().err
 
 
+def _small_factoring_caps(monkeypatch):
+    import relbrauer.exact as exact
+
+    monkeypatch.setattr(exact, "TRIAL_DIVISION_BOUND", 10)
+    monkeypatch.setattr(exact, "RHO_ITERATION_CAP", 50)
+
+
+_M61_M89 = (2**61 - 1) * (2**89 - 1)
+_REFUSAL = "error: factoring limit exceeded: "
+
+
+def test_torsion_factoring_refusal_names_the_search_and_the_curve(monkeypatch, capsys):
+    _small_factoring_caps(monkeypatch)
+    assert main(["torsion", "--curve", f"[0,{_M61_M89}]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{_REFUSAL}torsion search on y^2 = x^3 + {_M61_M89}: factoring ")
+    assert "Traceback" not in err
+
+
+def test_relbr_auto_factoring_refusal_names_the_torsion_search(monkeypatch, capsys):
+    _small_factoring_caps(monkeypatch)
+    code = main(["relbr", "--curve", f"[0,{_M61_M89}]", "--t", "O", "--m", "2",
+                 "--ext", "quad:-1"])
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"{_REFUSAL}torsion search on y^2 = x^3 + {_M61_M89}: factoring ")
+
+
+def test_extension_factoring_refusal_names_the_ext_literal(monkeypatch, capsys):
+    _small_factoring_caps(monkeypatch)
+    code = main(["pairing", "--curve", "[-1,0]", "--t=0,0", "--m", "2", "--p=O",
+                 "--ext", f"quad:{_M61_M89}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{_REFUSAL}--ext quad:{_M61_M89}: factoring {_M61_M89}: ")
+    assert "Traceback" not in err
+
+
+def test_cyclo_conductor_above_the_bound_refused_fast(capsys):
+    # the walk of H would not end at this N; the bound is checked first
+    n = 10**30 + 57
+    start = time.perf_counter()
+    code = main(["pairing", "--curve", "0 -1 1 -10 -20", "--t", "5,5", "--p", "5,5",
+                 "--m", "5", "--ext", f"cyclo:{n}:2"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert capsys.readouterr().err == f"error: conductor {n} exceeds the cyclo bound 10000000\n"
+    assert elapsed < 0.5
+
+
+def test_cyclo_conductor_at_the_bound_parses():
+    from relbrauer.brauer import CONDUCTOR_BOUND
+
+    n = CONDUCTOR_BOUND
+    assert n == 10**7
+    # H = <-1 mod 2^7, an element of order 4 mod 5^7>, each lifted by CRT:
+    # |H| = 8 and G/H = C32 x C15625 is cyclic
+    ext = parse_extension(f"cyclo:{n}:4218751,2077057")
+    assert (ext.conductor, len(ext.subgroup), ext.degree) == (n, 8, 500000)
+    with pytest.raises(ValueError, match=f"conductor {n + 1} exceeds"):
+        parse_extension(f"cyclo:{n + 1}:2")
+
+
 def test_torsion_with_a_squared_mersenne_prime_in_the_discriminant(capsys):
     # the discriminant holds (2^127 - 1)^2, which rho alone cannot split
     # within its cap; the power step takes the square root first

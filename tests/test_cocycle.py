@@ -203,11 +203,14 @@ def test_rescale_validation(order5_curve, order5_gen):
 
 def test_non_constant_entry_detected(mixed_torsion_curve):
     # a forged cocycle whose shift point is not m-torsion leaves genuinely
-    # non-constant entries; the builder must refuse rather than evaluate
+    # non-constant entries; two_cocycle must refuse rather than evaluate.
+    # The forged walk O, t gives the shifts [0]t, [1]t that two_cocycle reads
     forged = object.__new__(RationalCocycle)
+    t = CurvePoint(F(-2), F(3))  # order 4
     object.__setattr__(forged, "curve", mixed_torsion_curve)
     object.__setattr__(forged, "m", 2)
-    object.__setattr__(forged, "t", CurvePoint(F(-2), F(3)))  # order 4
+    object.__setattr__(forged, "t", t)
+    object.__setattr__(forged, "_cycle", (INFINITY, t))
     with pytest.raises(NonConstantCocycleValue):
         two_cocycle(forged, CurvePoint(F(8), F(18)))
 

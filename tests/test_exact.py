@@ -6,7 +6,7 @@ import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -501,10 +501,7 @@ def _ref_str(a):
 
 
 def _check(p, ref):
-    num, den = p._num, p._den
-    assert type(num) is list and type(den) is int and den > 0
-    assert not num or num[-1] != 0
-    assert gcd(den, *num) == 1
+    assert type(p.coeffs) is tuple and all(type(c) is F for c in p.coeffs)
     assert p.coeffs == ref
     assert p == Poly(ref) and hash(p) == hash(ref)
     assert str(p) == _ref_str(ref) and repr(p) == f"Poly({list(ref)!r})"
@@ -528,7 +525,6 @@ def test_poly_matches_fraction_reference():
     rng = random.Random(31337)
     raw = [[], [0, 0], [5], [F(-3, 4)], [0, F(1, 10**40 + 3)], [F(2, 3), 0, -4]]
     raw += [_random_coeffs(rng) for _ in range(300)]
-    assert Poly()._num == [] and Poly()._den == 1
     for i, cs in enumerate(raw):
         a, ra = Poly(cs), _ref(cs)
         b_cs = raw[(7 * i + 3) % len(raw)]
