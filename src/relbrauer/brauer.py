@@ -14,9 +14,8 @@ reciprocity the a_v multiply to 1 mod N and the invariants sum to 0.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm, prod
 
 from .curve import CurvePoint
 from .exact import (
@@ -30,8 +29,9 @@ from .exact import (
 
 INFINITE_PLACE = "infinity"
 
-# Cyclotomic walks all of H, which may hold up to phi(N) residues, so its
-# conductor is bounded; Quadratic walks no H and takes any d
+# Cyclotomic factors N and each p - 1 and builds baby-step tables of
+# isqrt(q^e - 1) + 1 entries for prime powers q^e dividing phi(N), each below
+# 5 * 10^6 at this bound, so its conductor is bounded; Quadratic takes any d
 CONDUCTOR_BOUND = 10**7
 
 
@@ -122,79 +122,152 @@ class Quadratic(_Value):
         return f"Q(sqrt({self.d}))"
 
 
-def _subgroup(gens, n: int) -> set[int]:
-    """The subgroup of (Z/n)* generated by the units gens, walked by cosets.
+def _unit_generators(n: int, exps: dict[int, int]) -> list[tuple]:
+    """Generators g_i of the cyclic factors of G = (Z/n)* = prod (Z/p^k)*,
+    each with its order, the primes of that order, the modulus its logs are
+    taken in and whether a unit is folded first.
 
-    H is abelian, so adjoining g to the span S adds the cosets g S, g^2 S,
-    ..., g^(r-1) S, where r is the least exponent with g^r in S; the powers
-    of g come from one loop and each element is made once.  Memory is
-    O(|H|), not O(n).
-    """
-    span = {1}
-    for g in gens:
-        if g in span:
-            continue
-        powers = []
-        x = g
-        while x not in span:
-            powers.append(x)
-            x = x * g % n
-        if len(span) == 1:
-            new = powers  # the cosets of {1} are the powers themselves
-        else:
-            new = [a * x % n for x in powers for a in span]
-        span.update(new)
-    return span
-
-
-def _unit_generators(n: int, exps: dict[int, int]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Generators of the cyclic factors of (Z/n)* = prod (Z/p^k)*, each with
-    its order and the primes of that order.
-
-    An odd p^k gives one primitive root; 2^k gives -1 (k >= 2) and 5
+    The primes are taken ascending, so the order depends on n alone.  An
+    odd p^k gives one primitive root; 2^k gives -1 (k >= 2) and 5
     (k >= 3).  Each is lifted by CRT to 1 modulo the other prime powers.
+    The log to base -1 is read mod 4; the log to base 5 is that of +-x,
+    whichever is 1 mod 4 (the fold).
     """
     gens = []
-    for p, k in exps.items():
+    for p, k in sorted(exps.items()):
         pk = p**k
         if p == 2:
-            local = [(pk - 1, 2, (2,))] if k >= 2 else []
+            local = [(pk - 1, 2, (2,), 4, False)] if k >= 2 else []
             if k >= 3:
-                local.append((5, pk // 4, (2,)))
+                local.append((5, pk // 4, (2,), pk, True))
         else:
             qs = tuple(factor(p - 1)[1])
             g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
             if k > 1 and pow(g, p - 1, p * p) == 1:
                 g += p
-            local = [(g, pk // p * (p - 1), qs + ((p,) if k > 1 else ()))]
+            local = [(g, pk // p * (p - 1), qs + ((p,) if k > 1 else ()), pk, False)]
         rest = n // pk
-        for g, order, primes in local:
-            gens.append((1 + rest * ((g - 1) * pow(rest, -1, pk) % pk), order, primes))
+        for g, order, primes, modulus, fold in local:
+            lift = 1 + rest * ((g - 1) * pow(rest, -1, pk) % pk)
+            gens.append((lift, order, primes, modulus, fold))
     return gens
+
+
+def _order(h: int, order: int, primes, n: int) -> int:
+    """The order of the unit h mod n in a cyclic group of the given order,
+    whose primes are listed: strip each prime while the power stays 1."""
+    for q in primes:
+        while order % q == 0 and pow(h, order // q, n) == 1:
+            order //= q
+    return order
+
+
+def _log_steps(coordinate: tuple, d: int, tables: dict) -> tuple:
+    """Pohlig-Hellman for log_g x mod d, for (g, order, primes, modulus,
+    fold) one coordinate of _unit_generators and d | order.
+
+    For each prime power q^e of d: the power order/q^e that sends x into
+    the subgroup of order q^e, that subgroup's baby-step table, and the CRT
+    weight of q^e mod d.  tables keeps g's tables across calls, by q^e: for
+    gamma = g^(order/q^e) it maps gamma^j to j for j < s =
+    isqrt(q^e - 1) + 1, with gamma^-s as the giant step, so a log there
+    takes at most s giant steps.
+    """
+    g, order, primes, modulus, fold = coordinate
+    steps = []
+    for q in primes:
+        if d % q:
+            continue
+        qe = q
+        while d % (qe * q) == 0:
+            qe *= q
+        if qe not in tables:
+            gamma, s = pow(g, order // qe, modulus), isqrt(qe - 1) + 1
+            baby, y = {}, 1
+            for j in range(s):
+                baby[y] = j
+                y = y * gamma % modulus
+            tables[qe] = (baby, pow(y, -1, modulus), s)
+        rest = d // qe
+        steps.append((order // qe, tables[qe], rest * pow(rest, -1, qe)))
+    return modulus, fold, d, steps
+
+
+def _dlog(x: int, log_steps: tuple) -> int:
+    """log_g x mod d for a unit x, by the steps _log_steps made for d."""
+    modulus, fold, d, steps = log_steps
+    x %= modulus
+    if fold and x % 4 == 3:
+        x = modulus - x
+    log = 0
+    for power, (baby, giant, s), weight in steps:
+        h = pow(x, power, modulus)
+        for t in range(0, s * s, s):
+            if h in baby:
+                break
+            h = h * giant % modulus
+        log += (t + baby[h]) * weight
+    return log % d
+
+
+def _hermite_rows(vectors, orders) -> list[list[int]]:
+    """The Hermite normal form of the lattice spanned by the vectors and the
+    o_i e_i: upper triangular rows with positive pivots h_i, each entry
+    above a pivot in [0, h_i).  Column c starts from the row o_c e_c and
+    clears every other row there by Euclid's algorithm; entries are kept
+    mod o_j, which the rows o_j e_j still to come allow."""
+    rows = [[x % o for x, o in zip(v, orders)] for v in vectors]
+    hnf = []
+    for c, o in enumerate(orders):
+        pivot = [0] * len(orders)
+        pivot[c] = o
+        rest = []
+        for row in rows:
+            while row[c]:
+                q = pivot[c] // row[c]
+                pivot, row = row, [(x - q * y) % o_j for x, y, o_j in zip(pivot, row, orders)]
+            rest.append(row)
+        hnf.append(pivot)
+        rows = rest
+    for i, row in enumerate(hnf):
+        for k in range(i):
+            q = hnf[k][i] // row[i]
+            if q:
+                hnf[k] = [x - q * y for x, y in zip(hnf[k], row)]
+    return hnf
 
 
 class Cyclotomic(_Value):
     """A cyclic subfield of Q(zeta_N): the fixed field of a subgroup H.
 
     H is a subgroup of G = (Z/N)* with cyclic quotient; the field degree is
-    phi(N) / |H|.  Cyclotomic(N, subgroup) takes any set of units mod N
-    that generates H, and subgroup then holds all of H, sorted, so that the
-    repr is a constructor call for the same value.  H is walked once, by
-    cosets (_subgroup); a span of units is a subgroup by construction.
-    The walk grows with |H|, so N above CONDUCTOR_BOUND is refused first.
-    Cyclicity is read off the CRT generators g_i of G: G/H is cyclic iff
-    the lcm of the orders of the cosets g_i H, its exponent, is |G| / |H|.
-    That takes a few modular powers per generator and yields sigma, a
-    residue whose coset generates G/H.  primes holds the primes of N,
-    factored once.  Only conductor and subgroup are compared.
+    m = |G/H|.  Cyclotomic(N, generators) takes any units mod N that
+    generate H; no element of H is listed, and N above CONDUCTOR_BOUND is
+    refused first.  G is the product of the cyclic groups <g_i> of its CRT
+    generators (_unit_generators), and each generator of H is written as
+    its vector of discrete logs: Pohlig-Hellman over the prime powers of
+    the orders o_i, with baby-step tables built here once.  Those vectors
+    and the o_i e_i span the relation lattice L, with G/H = Z^n / L.  Its
+    Hermite normal form gives m as the product of the pivots, and the
+    canonical generators: each row mapped to prod g_i^row_i mod N, 1
+    dropped, ascending.  generators holds them, so every generating set of
+    H gives one value, and the repr is a constructor call for it.  Row and
+    column operations mod m (_diagonal_form) then decide whether G/H is
+    cyclic and give a character chi: G -> Z/m with kernel H.  sigma is
+    built from the coset orders m / gcd(chi(g_i), m), and coset_index(a) =
+    chi(a) / chi(sigma) needs log_i(a) only modulo the coset order of g_i.
+    For cyclic G = <g> all of this is m = |G| / |H|, from the orders of
+    H's generators, with no log: the Hermite form is (m), g^m generates H,
+    chi = log_g mod m and sigma = g.  primes holds the primes of N,
+    factored once.  Only conductor and generators are compared.
     """
 
-    __slots__ = ("conductor", "subgroup", "degree", "primes", "sigma")
-    _fields = ("conductor", "subgroup")
+    __slots__ = ("conductor", "generators", "degree", "primes", "sigma", "_chi")
+    _fields = ("conductor", "generators")
 
-    def __init__(self, conductor: int, subgroup):
+    def __init__(self, conductor: int, generators):
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "generators", generators)
         self.__post_init__()
 
     def __post_init__(self):
@@ -203,29 +276,53 @@ class Cyclotomic(_Value):
             raise ValueError("conductor must be an integer >= 3")
         if n > CONDUCTOR_BOUND:
             raise ValueError(f"conductor {n} exceeds the cyclo bound {CONDUCTOR_BOUND}")
-        gens = [g % n for g in self.subgroup]
+        gens = [g % n for g in self.generators]
         for g in gens:
             if gcd(g, n) != 1:
                 raise ValueError(f"generator {g} is not coprime to {n}")
-        elements = _subgroup(gens, n)
         _, exps = factor(n)
-        phi, sigma, order = 1, 1, 1  # sigma's coset has order `order`
-        for g, g_order, g_primes in _unit_generators(n, exps):
-            phi *= g_order
-            e = g_order
-            for q in g_primes:
-                while e % q == 0 and pow(g, e // q, n) in elements:
-                    e //= q
-            # split lcm(order, e) = u * v with u | order, v | e coprime; then
-            # sigma^(order/u) * g^(e/v) has coset order u * v
-            u, v = order, e // gcd(order, e)
-            while (h := gcd(u, v)) != 1:
-                u, v = u // h, v * h
-            sigma = pow(sigma, order // u, n) * pow(g, e // v, n) % n
-            order = u * v
-        if order != phi // len(elements):
-            raise ValueError("the quotient by the subgroup is not cyclic")
-        self._set(n, tuple(sorted(elements)), order, tuple(sorted(exps)), sigma)
+        coords = _unit_generators(n, exps)
+        tables = [{} for _ in coords]
+        if len(coords) == 1:
+            # G = <g> is cyclic, so L = mZ with m = o / |H|, |H| is the lcm
+            # of the orders of H's generators, chi = log_g mod m, and sigma
+            # = g, which is what the rule below gives for one generator
+            ((g, o, primes, _, _),) = coords
+            m = o // lcm(*(_order(h, o, primes, n) for h in gens))
+            canonical, sigma, weights = {pow(g, m, n)}, g, [1]
+        else:
+            steps = [_log_steps(c, c[1], t) for c, t in zip(coords, tables)]
+            logs = [[_dlog(h, st) for st in steps] for h in gens]
+            hnf = _hermite_rows(logs, [c[1] for c in coords])
+            m = prod(row[i] for i, row in enumerate(hnf))
+            canonical = {prod(pow(c[0], e, n) for c, e in zip(coords, row)) % n for row in hnf}
+            transform = [[int(i == j) for j in range(len(coords))] for i in range(len(coords))]
+            # G/H is the sum of the Z/gcd(d_j, m) over the diagonal d_j
+            factors = [gcd(d, m) for d in _diagonal_form(hnf, m, transform)]
+            if lcm(*factors) != m:
+                raise ValueError("the quotient by the subgroup is not cyclic")
+            chi = [sum(v * (m // f) for v, f in zip(row, factors)) % m for row in transform]
+            sigma, order, chi_sigma = 1, 1, 0  # sigma's coset has order `order`
+            for (g, *_), c in zip(coords, chi):
+                e = m // gcd(c, m)
+                # split lcm(order, e) = u * v with u | order, v | e coprime;
+                # then sigma^(order/u) * g^(e/v) has coset order u * v
+                u, v = order, e // gcd(order, e)
+                while (h := gcd(u, v)) != 1:
+                    u, v = u // h, v * h
+                sigma = pow(sigma, order // u, n) * pow(g, e // v, n) % n
+                chi_sigma = (chi_sigma * (order // u) + c * (e // v)) % m
+                order = u * v
+            scale = pow(chi_sigma, -1, m)
+            weights = [c * scale % m for c in chi]
+        # coset_index(a) is the sum of w_i log_i(a) for the weights
+        # w_i = chi(g_i) / chi(sigma); log_i(a) enters only mod
+        # m / gcd(w_i, m), the coset order of g_i
+        plan = []
+        for coordinate, table, w in zip(coords, tables, weights):
+            if w % m:
+                plan.append((w, _log_steps(coordinate, m // gcd(w, m), table)))
+        self._set(n, tuple(sorted(canonical - {1})), m, tuple(sorted(exps)), sigma, tuple(plan))
 
     @classmethod
     def from_generators(cls, conductor: int, generators) -> "Cyclotomic":
@@ -235,18 +332,16 @@ class Cyclotomic(_Value):
 
     def coset_index(self, a: int) -> int:
         """The k in Z/degree with the unit a mod N in sigma^k H."""
-        n, members = self.conductor, self.subgroup
-        step = pow(self.sigma, -1, n)
-        y = a % n
-        for k in range(self.degree):
-            i = bisect_left(members, y)
-            if i < len(members) and members[i] == y:
-                return k
-            y = y * step % n
-        raise ValueError(f"{a} is not a unit modulo {n}")
+        n = self.conductor
+        if gcd(a, n) != 1:
+            raise ValueError(f"{a} is not a unit modulo {n}")
+        k = 0
+        for w, steps in self._chi:
+            k += w * _dlog(a, steps)
+        return k % self.degree
 
     def literal(self) -> str:
-        return f"cyclo:{self.conductor}:" + ",".join(str(h) for h in self.subgroup)
+        return f"cyclo:{self.conductor}:" + (",".join(map(str, self.generators)) or "1")
 
     def __str__(self):
         return f"degree-{self.degree} subfield of Q(zeta_{self.conductor})"
@@ -333,11 +428,14 @@ class CyclicAlgebraClass(_Value):
     depends only on b_raw modulo m-th powers, and b_normalized, its
     m-th-power-free representative, is derived here from b_raw's prime
     exponents: a caller that has factored b_raw passes {p: v_p(b_raw)} as
-    exponents, whose keys are primes (one below 2 is refused) and whose
-    entries must multiply back to b_raw's |numerator| and denominator;
-    otherwise b_raw is factored here.  primes holds the primes dividing b_raw, ascending, and
-    the local symbols reuse them.  Neither b_normalized nor primes is
-    compared.
+    exponents, whose entries must multiply back to b_raw's |numerator|
+    and denominator; otherwise b_raw is factored here.  The keys must be
+    primes, and the caller answers for that: a key below 2 is refused,
+    but a composite key is not detected, since a primality test would
+    cost one per prime of b on every pairing (brauer_pairing passes the
+    primes factor returns).  primes holds the primes dividing b_raw,
+    ascending, and the local symbols reuse them.  Neither b_normalized
+    nor primes is compared.
     """
 
     __slots__ = ("m", "ext", "b_raw", "b_normalized", "primes")
@@ -463,20 +561,22 @@ def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
     return ClassStatus.nontrivial(failing[0])
 
 
-def _span_invariants(rows, m: int) -> tuple[int, ...]:
-    """Invariant factors of the subgroup of (Z/m)^n spanned by the rows.
+def _diagonal_form(rows, m: int, carried=()) -> list[int]:
+    """Diagonalize the rows mod m by row and column operations invertible
+    over Z, pivoting on a least entry until its row and column are clear,
+    and return the pivot d_j of each column (0 where none is left).
 
-    Row and column operations invertible over Z diagonalize the rows,
-    pivoting on a least entry until its row and column are clear; a pivot d
-    spans a cyclic group of order m / gcd(d, m).  gcd/lcm exchanges then put
-    those orders into invariant-factor form, each dividing the next.
+    The carried rows take every column operation too, so an identity
+    carried along ends as the column transform V mod m: x -> x V maps the
+    span of the rows mod m onto the span of the d_j e_j.
     """
     rows = [[x % m for x in row] for row in rows]
-    orders = []
+    carried = list(carried)
+    pivots = [0] * len(rows[0])
     while True:
         entries = [(x, i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
         if not entries:
-            break
+            return pivots
         pivot, i, j = min(entries)
         clear = True
         for r, row in enumerate(rows):
@@ -487,15 +587,23 @@ def _span_invariants(rows, m: int) -> tuple[int, ...]:
         for c, x in enumerate(rows[i]):
             if c != j and x:
                 q = x // pivot
-                for row in rows:
+                for row in rows + carried:
                     row[c] = (row[c] - q * row[j]) % m
                 clear = clear and not rows[i][c]
         # an entry left over is below the pivot, so the next one is smaller
         if clear:
-            orders.append(m // gcd(pivot, m))
+            pivots[j] = pivot
             del rows[i]
-            for row in rows:
-                del row[j]
+
+
+def _span_invariants(rows, m: int) -> tuple[int, ...]:
+    """Invariant factors of the subgroup of (Z/m)^n spanned by the rows.
+
+    A pivot d of the diagonal form spans a cyclic group of order
+    m / gcd(d, m); gcd/lcm exchanges put those orders into invariant-factor
+    form, each dividing the next.
+    """
+    orders = [m // gcd(d, m) for d in _diagonal_form(rows, m) if d]
     for a in range(len(orders)):
         for b in range(a + 1, len(orders)):
             g = gcd(orders[a], orders[b])

@@ -124,10 +124,12 @@ class RationalCocycle(_Value):
         """The order n/gcd(k, n) of p = [k]t, read off the walk, or None when
         p is not in <t>."""
         cycle = self._cycle
-        if p not in cycle:
+        try:
+            k = cycle.index(p)
+        except ValueError:
             return None
         n = len(cycle)
-        return n // gcd(cycle.index(p), n)
+        return n // gcd(k, n)
 
 
 class TwoCocycle(_Value):

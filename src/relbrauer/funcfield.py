@@ -42,21 +42,19 @@ def _ycoef_poly(curve: WeierstrassCurve) -> Poly:
     return Poly((curve.a3, curve.a1))
 
 
-def _as_poly(v) -> Poly:
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly((v,))
-    raise TypeError(f"cannot use {v!r} as a polynomial")
-
-
 class EllFn:
     """An element of Q(E), canonicalized on construction."""
 
     __slots__ = ("curve", "a", "b", "d")
 
     def __init__(self, curve: WeierstrassCurve, a=0, b=0, d=1):
-        a, b, d = _as_poly(a), _as_poly(b), _as_poly(d)
+        polys = []
+        for v in (a, b, d):
+            poly = Poly._coerce(v)
+            if poly is None:
+                raise TypeError(f"cannot use {v!r} as a polynomial")
+            polys.append(poly)
+        a, b, d = polys
         if d.is_zero:
             raise ValueError("denominator polynomial is zero")
         g = poly_gcd(poly_gcd(a, b), d)

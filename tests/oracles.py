@@ -7,8 +7,8 @@ and by its closed forms in Fraction arithmetic, the group law, the
 invariants, the short integral model and the pull back of a point in
 Fraction arithmetic, the rational torsion subgroup by the full Nagell-Lutz
 search, the cyclotomic descriptor by a breadth-first closure with a
-closure check and a gcd per member, and m-th powers of rationals by integer
-Newton roots.  seeded_models gives the curves and points the Fraction
+closure check and a gcd per member and by a walk of H by cosets, and m-th
+powers of rationals by integer Newton roots.  seeded_models gives the curves and points the Fraction
 oracles are compared on.
 """
 
@@ -324,6 +324,30 @@ def pull_point_by_fractions(phi, p):
     return CurvePoint(x, y)
 
 
+def subgroup_by_cosets(gens, n):
+    """The subgroup of (Z/n)* generated by the units gens, walked by cosets.
+
+    H is abelian, so adjoining g to the span S adds the cosets g S, g^2 S,
+    ..., g^(r-1) S, where r is the least exponent with g^r in S; the powers
+    of g come from one loop and each element is made once.
+    """
+    span = {1}
+    for g in gens:
+        if g in span:
+            continue
+        powers = []
+        x = g
+        while x not in span:
+            powers.append(x)
+            x = x * g % n
+        if len(span) == 1:
+            new = powers  # the cosets of {1} are the powers themselves
+        else:
+            new = [a * x % n for x in powers for a in span]
+        span.update(new)
+    return span
+
+
 def _check_closed(members, member_set, n):
     """Raise unless the sorted residues are closed under multiplication mod n.
 
@@ -348,7 +372,7 @@ def _check_closed(members, member_set, n):
 
 def cyclotomic_fields(conductor, subgroup):
     """What Cyclotomic holds for H listed in full as subgroup, as a dict of
-    subgroup, degree, sigma, primes and literal, or a ValueError: every
+    subgroup (H, ascending), degree, sigma and primes, or a ValueError: every
     check runs on the members one at a time (a gcd each, the closure by
     _check_closed), then cyclicity is read off the CRT unit generators."""
     n = conductor
@@ -364,11 +388,11 @@ def cyclotomic_fields(conductor, subgroup):
         raise ValueError("subgroup does not contain 1")
     member_set = set(members)
     _check_closed(members, member_set, n)
-    # sigma depends on the order of the CRT generators, so N is factored
-    # as the descriptor factors it
+    # sigma depends on the order of the CRT generators, so they come from
+    # the descriptor's _unit_generators
     _, exps = factor(n)
     phi, sigma, order = 1, 1, 1
-    for g, g_order, g_primes in _unit_generators(n, exps):
+    for g, g_order, g_primes, *_ in _unit_generators(n, exps):
         phi *= g_order
         e = g_order
         for q in g_primes:
@@ -381,9 +405,8 @@ def cyclotomic_fields(conductor, subgroup):
         order = u * v
     if order != phi // len(members):
         raise ValueError("the quotient by the subgroup is not cyclic")
-    literal = f"cyclo:{n}:" + ",".join(str(h) for h in members)
     return {"subgroup": tuple(members), "degree": order, "sigma": sigma,
-            "primes": tuple(sorted(exps)), "literal": literal}
+            "primes": tuple(sorted(exps))}
 
 
 def cyclotomic_fields_from_generators(conductor, generators):

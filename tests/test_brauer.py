@@ -16,7 +16,6 @@ from relbrauer.brauer import (
     Cyclotomic,
     Quadratic,
     _span_invariants,
-    _subgroup,
     class_places,
     class_status,
     hilbert_symbol,
@@ -34,6 +33,7 @@ from oracles import (
     cyclotomic_fields_from_generators,
     is_mth_power,
     quaternion_class_equal,
+    subgroup_by_cosets,
 )
 
 
@@ -102,12 +102,36 @@ def test_quadratic_as_cyclotomic(d, conductor, subgroup):
 
 def test_cyclotomic_descriptor():
     ext = Cyclotomic.from_generators(11, (10,))
-    assert ext.subgroup == (1, 10)
+    assert ext.generators == (10,)
     assert ext.degree == 5
-    assert ext.literal() == "cyclo:11:1,10"
+    assert ext.literal() == "cyclo:11:10"
+    # H = <7> in (Z/16)* = <-1> x <5>: 7 = -5^2, and 5^4 = 1 is dropped
+    assert Cyclotomic(16, (7,)).literal() == "cyclo:16:7"
+    # H trivial: every row of the Hermite form maps to 1
+    assert Cyclotomic(5, (1,)).generators == ()
+    assert Cyclotomic(5, (1,)).literal() == "cyclo:5:1"
     assert Cyclotomic.from_generators(5, (1,)).degree == 4
     assert Cyclotomic.from_generators(16, (15,)).degree == 4
     assert Cyclotomic.from_generators(7, (6,)).degree == 3
+
+
+def test_literal_does_not_depend_on_the_order_of_the_primes(monkeypatch):
+    # the CRT generators are taken over the primes of N ascending, so the
+    # canonical generators are a function of N and H alone
+    import relbrauer.brauer as brauer_mod
+
+    n = 4 * 1009 * 1013
+    gens = (3, pow(5, 7, n), n - 1)
+    ext = Cyclotomic(n, gens)
+    real_factor = brauer_mod.factor
+
+    def reversed_factor(k):
+        sign, exps = real_factor(k)
+        return sign, dict(reversed(list(exps.items())))
+
+    monkeypatch.setattr(brauer_mod, "factor", reversed_factor)
+    again = Cyclotomic(n, gens)
+    assert again == ext and (again.literal(), again.sigma) == (ext.literal(), ext.sigma)
 
 
 def test_cyclotomic_validation():
@@ -117,8 +141,10 @@ def test_cyclotomic_validation():
         Cyclotomic(8, (2,))  # not coprime to the conductor
     with pytest.raises(ValueError):
         Cyclotomic(16, (1,))  # quotient (Z/16)* is not cyclic
-    # the residues generate H, so they need not be closed or contain 1
-    assert Cyclotomic(11, (2, 10)).subgroup == tuple(range(1, 11))
+    # the residues generate H, so they need not be closed or contain 1;
+    # H = G prints as the primitive root 2
+    assert Cyclotomic(11, (2, 10)).generators == (2,)
+    assert Cyclotomic(11, (2, 10)).degree == 1
     assert Cyclotomic(7, (2,)) == Cyclotomic(7, (1, 2, 4)) == Cyclotomic(7, (4,))
 
 
@@ -151,7 +177,7 @@ def test_closure_check_matches_all_pairs():
             if kind == 1:
                 residues ^= {rng.choice(units[1:])}
                 residues.add(1)
-        span = _subgroup(sorted(residues), n)
+        span = subgroup_by_cosets(sorted(residues), n)
         assert span == _span(n, residues) >= residues, (n, sorted(residues))
         assert (span == residues) is _closed_by_all_pairs(n, residues), (n, sorted(residues))
         closed += span == residues
@@ -173,17 +199,35 @@ def test_large_noncyclic_conductor_refused_fast(literal):
     assert time.perf_counter() - start < 0.5
 
 
-def _fields(make):
-    """The descriptor's subgroup, degree, sigma, primes and literal, or the
-    text of the ValueError it raises."""
+def _fields(make, kernel=True):
+    """The descriptor's kernel {a : coset_index(a) = 0}, degree, sigma and
+    primes, or the text of the ValueError it raises; the oracle's dict is
+    passed through.  With kernel=False the span of the canonical generators
+    stands in for the kernel, which saves a coset_index call per unit."""
     try:
         ext = make()
     except ValueError as exc:
         return str(exc)
     if isinstance(ext, dict):
         return ext
-    return {"subgroup": ext.subgroup, "degree": ext.degree, "sigma": ext.sigma,
-            "primes": ext.primes, "literal": ext.literal()}
+    n = ext.conductor
+    if kernel:
+        held = tuple(a for a in range(1, n) if gcd(a, n) == 1 and ext.coset_index(a) == 0)
+    else:
+        held = tuple(sorted(subgroup_by_cosets(ext.generators, n)))
+    return {"subgroup": held, "degree": ext.degree, "sigma": ext.sigma, "primes": ext.primes}
+
+
+def _check_literal(ext, subgroup):
+    """The canonical generators: ascending, none equal to 1, spanning H;
+    the literal prints them (1 when there are none) and parses back to an
+    equal descriptor."""
+    n, gens = ext.conductor, ext.generators
+    assert list(gens) == sorted(set(gens)) and all(1 < h < n for h in gens), ext
+    assert subgroup_by_cosets(gens, n) == set(subgroup), ext
+    assert ext.literal() == f"cyclo:{n}:" + (",".join(map(str, gens)) or "1")
+    again = parse_extension(ext.literal())
+    assert again == ext and hash(again) == hash(ext) and again.literal() == ext.literal()
 
 
 def _seeded_descriptor_inputs(rng):
@@ -210,6 +254,7 @@ def _seeded_descriptor_inputs(rng):
 
 def test_descriptor_matches_reference_on_seeded_inputs():
     rng = random.Random(1301)
+    pick = random.Random(1302)  # leaves rng's stream, and so the inputs, as they were
     cyclic = noncyclic = 0
     for n, gens in _seeded_descriptor_inputs(rng):
         expected = _fields(lambda: cyclotomic_fields_from_generators(n, gens))
@@ -218,7 +263,19 @@ def test_descriptor_matches_reference_on_seeded_inputs():
             noncyclic += 1
             continue
         cyclic += 1
+        ext = Cyclotomic.from_generators(n, gens)
+        _check_literal(ext, expected["subgroup"])
         members = list(expected["subgroup"])
+        # other generating sets of the same H give the same value: the
+        # canonical generators reversed, lifted with 1, as products of
+        # neighbours, and with redundant members
+        gens_h = list(ext.generators)
+        same = [gens_h[::-1], [h + n for h in gens_h] + [1]]
+        same.append(gens_h[:1] + [a * b % n for a, b in zip(gens_h, gens_h[1:])])
+        same.append(pick.sample(members, min(3, len(members))) + gens_h)
+        for residues in same:
+            other = Cyclotomic(n, residues)
+            assert other == ext and other.literal() == ext.literal(), (n, residues)
         if len(members) > 500:
             continue  # the conductor pool test takes the large lists
         rng.shuffle(members)
@@ -230,7 +287,7 @@ def test_descriptor_matches_reference_on_seeded_inputs():
         lists.append(members + [rng.randrange(1, n)])
         lists.append(members + [n // min(expected["primes"])])
         for residues in lists:
-            assert _fields(lambda: Cyclotomic(n, residues)) == _fields(
+            assert _fields(lambda: Cyclotomic(n, residues), kernel=False) == _fields(
                 lambda: cyclotomic_fields_from_generators(n, residues)
             ), (n, residues)
     assert cyclic > 300 and noncyclic > 100
@@ -246,8 +303,10 @@ def test_descriptor_matches_reference_on_conductor_pool():
         _, n, gens = literal.split(":")
         n, gens = int(n), [int(g) for g in gens.split(",")]
         expected = cyclotomic_fields_from_generators(n, gens)
-        assert _fields(lambda: parse_extension(literal)) == expected, literal
-        assert _fields(lambda: Cyclotomic(n, expected["subgroup"])) == expected, literal
+        ext = parse_extension(literal)
+        assert _fields(lambda: ext) == expected, literal
+        _check_literal(ext, expected["subgroup"])
+        assert Cyclotomic(n, expected["subgroup"]) == ext, literal
 
 
 @pytest.mark.parametrize(
@@ -273,27 +332,22 @@ def test_explicit_list_errors_keep_their_order(conductor, residues, message):
         assert str(info.value) == message
 
 
-def test_from_generators_walks_h_once(monkeypatch):
-    # H is made by one coset walk, in one constructor call: no gcd per member
-    import relbrauer.brauer as brauer_mod
-
-    gcd_calls, post_init_calls = [], []
-    real_gcd, real_post_init = brauer_mod.gcd, Cyclotomic.__post_init__
-
-    def counted_gcd(*args):
-        gcd_calls.append(args)
-        return real_gcd(*args)
-
-    def counted_post_init(self):
-        post_init_calls.append(self)
-        real_post_init(self)
-
-    monkeypatch.setattr(brauer_mod, "gcd", counted_gcd)
-    monkeypatch.setattr(Cyclotomic, "__post_init__", counted_post_init)
-    ext = Cyclotomic.from_generators(2797, (4,))
-    assert len(ext.subgroup) == 1398 and ext.degree == 2
-    assert post_init_calls == [ext]
-    assert len(gcd_calls) < 10
+@pytest.mark.parametrize(
+    "conductor, generators, degree, literal",
+    [
+        # 484 = 22^2 for the primitive root 22: |H| = 4,999,995
+        (9999991, (484,), 2, "cyclo:9999991:484"),
+        # H = <-1 mod 2^7, an element of order 4 mod 5^7>, |H| = 8
+        (10**7, (4218751, 2077057), 500000, "cyclo:10000000:2077057,4218751"),
+    ],
+    ids=["9999991", "10000000"],
+)
+def test_descriptor_at_the_bound_is_built_within_budget(conductor, generators, degree, literal):
+    # no element of H is listed, so |H| and m do not enter the cost
+    start = time.perf_counter()
+    ext = Cyclotomic(conductor, generators)
+    assert time.perf_counter() - start < 0.5
+    assert (ext.degree, ext.literal()) == (degree, literal)
 
 
 def test_residue_degree():
@@ -575,7 +629,8 @@ def test_class_status_witness_rule():
 def _old_unramified_obstruction(alg):
     # the former certificate: an unramified p with v_p(b) not divisible by
     # the residue degree, the order of p modulo H
-    n, members = alg.ext.conductor, set(alg.ext.subgroup)
+    n = alg.ext.conductor
+    members = subgroup_by_cosets(alg.ext.generators, n)
     for p in sorted(set(alg.primes) | {2}):
         if n % p:
             v = 0

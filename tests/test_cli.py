@@ -79,8 +79,8 @@ def test_parse_point_errors(order5_curve):
 def test_parse_extension_forms():
     assert parse_extension("quad:-1").d == -1
     ext = parse_extension("cyclo:11:10")
-    assert ext.conductor == 11 and ext.subgroup == (1, 10)
-    assert parse_extension("cyclotomic:16:{15}").subgroup == (1, 15)
+    assert ext.conductor == 11 and ext.generators == (10,)
+    assert parse_extension("cyclotomic:16:{15}").generators == (15,)
     assert parse_extension("cyclo:5:1").degree == 4
 
 
@@ -130,7 +130,7 @@ def test_main_pairing_json(capsys):
     ]
     assert main(args) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["extension"] == "cyclo:11:1,10"
+    assert report["extension"] == "cyclo:11:10"
     (result,) = report["results"]
     assert result["point"] == ["5", "5"]
     assert result["order"] == 5
@@ -332,7 +332,8 @@ def test_extension_factoring_refusal_names_the_ext_literal(monkeypatch, capsys):
 
 
 def test_cyclo_conductor_above_the_bound_refused_fast(capsys):
-    # the walk of H would not end at this N; the bound is checked first
+    # N and p - 1 would be factored and tabled with no stated cost; the
+    # bound is checked first
     n = 10**30 + 57
     start = time.perf_counter()
     code = main(["pairing", "--curve", "0 -1 1 -10 -20", "--t", "5,5", "--p", "5,5",
@@ -351,9 +352,21 @@ def test_cyclo_conductor_at_the_bound_parses():
     # H = <-1 mod 2^7, an element of order 4 mod 5^7>, each lifted by CRT:
     # |H| = 8 and G/H = C32 x C15625 is cyclic
     ext = parse_extension(f"cyclo:{n}:4218751,2077057")
-    assert (ext.conductor, len(ext.subgroup), ext.degree) == (n, 8, 500000)
+    assert (ext.conductor, ext.generators, ext.degree) == (n, (2077057, 4218751), 500000)
     with pytest.raises(ValueError, match=f"conductor {n + 1} exceeds"):
         parse_extension(f"cyclo:{n + 1}:2")
+
+
+def test_pairing_at_the_bound_prints_canonical_generators(capsys):
+    # H = <484> = <22^2> has 4,999,995 residues; the literal prints its
+    # canonical generator, and no element of H is listed
+    start = time.perf_counter()
+    code = main(["pairing", "--curve", "[-1,0]", "--t=0,0", "--m", "2", "--p=1,0",
+                 "--ext", "cyclo:9999991:484"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "\nextension: cyclo:9999991:484\n" in capsys.readouterr().out
+    assert elapsed < 0.5
 
 
 def test_torsion_with_a_squared_mersenne_prime_in_the_discriminant(capsys):

@@ -723,3 +723,18 @@ def test_large_m_class_is_decided_within_budget():
     assert time.perf_counter() - start < 1.5
     assert algebra.b_raw == F(1, 11**50000) and algebra.primes == (11,)
     assert status.witness == 11
+
+
+def test_large_m_class_with_its_descriptor_is_decided_within_budget():
+    # the case above, descriptor included: the local invariants are
+    # characters of (Z/N)*, so the cost does not grow with m = 250,000
+    import time
+
+    n, m = 3750001, 250000
+    start = time.perf_counter()
+    ext = Cyclotomic.from_generators(n, (558125,))
+    coc = RationalCocycle(WeierstrassCurve(0, -1, 1, -10, -20), m, CurvePoint(F(5), F(5)))
+    status = class_status(brauer_pairing(coc, coc.t, ext))
+    assert time.perf_counter() - start < 0.5
+    assert ext.degree == m and ext.literal() == "cyclo:3750001:558125"
+    assert status.witness == 11

@@ -35,6 +35,17 @@ def test_canonical_form_reduces_common_factors(order5_curve):
     assert g.a == Poly((F(1, 2),))
 
 
+def test_parts_coerce_like_poly_operands(order5_curve):
+    # an int or a Fraction is a constant polynomial, as for Poly arithmetic
+    assert EllFn(order5_curve, 2, F(1, 2), 4) == EllFn(
+        order5_curve, Poly((F(1, 2),)), Poly((F(1, 8),)), Poly((1,))
+    )
+    for parts in ((None, 0, 1), (0, "x", 1), (0, 0, None)):
+        bad = next(v for v in parts if not isinstance(v, int))
+        with pytest.raises(TypeError, match=f"cannot use {bad!r} as a polynomial"):
+            EllFn(order5_curve, *parts)
+
+
 def test_zero_is_unique(order5_curve):
     z = EllFn(order5_curve, Poly(), Poly(), Poly((3, 7)))
     assert z.is_zero

@@ -76,14 +76,14 @@ CASES = {
     "Cyclotomic": (
         lambda: Cyclotomic(11, (10, 1)),
         lambda: Cyclotomic(11, (1,)),
-        ("conductor", "subgroup"),
-        "Cyclotomic(conductor=11, subgroup=(1, 10))",
+        ("conductor", "generators"),
+        "Cyclotomic(conductor=11, generators=(10,))",
     ),
     "CyclicAlgebraClass": (
         _alg,
         lambda: _alg(F(2)),
         ("m", "ext", "b_raw"),
-        "CyclicAlgebraClass(m=5, ext=Cyclotomic(conductor=11, subgroup=(1, 10)), "
+        "CyclicAlgebraClass(m=5, ext=Cyclotomic(conductor=11, generators=(10,)), "
         "b_raw=Fraction(-1, 11))",
     ),
     "ClassStatus": (
@@ -97,7 +97,7 @@ CASES = {
         lambda: _entry(None),
         ("point", "order", "algebra", "status"),
         "BrauerEntry(point=CurvePoint(x=Fraction(5, 1), y=Fraction(5, 1)), order=5, "
-        "algebra=CyclicAlgebraClass(m=5, ext=Cyclotomic(conductor=11, subgroup=(1, 10)), "
+        "algebra=CyclicAlgebraClass(m=5, ext=Cyclotomic(conductor=11, generators=(10,)), "
         "b_raw=Fraction(-1, 11)), "
         "status=ClassStatus(kind='nontrivial', witness=11))",
     ),
@@ -107,7 +107,7 @@ CASES = {
         ("entries", "group_invariants", "order_bound"),
         "BrauerPresentation(entries=(BrauerEntry(point=CurvePoint(x=Fraction(5, 1), "
         "y=Fraction(5, 1)), order=5, algebra=CyclicAlgebraClass(m=5, "
-        "ext=Cyclotomic(conductor=11, subgroup=(1, 10)), b_raw=Fraction(-1, 11)), "
+        "ext=Cyclotomic(conductor=11, generators=(10,)), b_raw=Fraction(-1, 11)), "
         "status=ClassStatus(kind='nontrivial', "
         "witness=11)),), group_invariants=(5,), order_bound=5)",
     ),
@@ -242,8 +242,8 @@ def test_defaults_and_derived_fields():
     assert (job.t, job.m, job.p, job.ext, job.gens) == (None, None, None, None, None)
     assert job.gens_auto is True
     assert Quadratic(-15).primes == (3, 5)
-    z = Cyclotomic(conductor=11, subgroup=(21, 1, 10))
-    assert (z.subgroup, z.degree, z.primes, z.sigma) == ((1, 10), 5, (11,), 2)
+    z = Cyclotomic(conductor=11, generators=(21, 1, 10))
+    assert (z.generators, z.degree, z.primes, z.sigma) == ((10,), 5, (11,), 2)
     alg = CyclicAlgebraClass(m=5, ext=z, b_raw=-352)
     assert (type(alg.b_raw), type(alg.b_normalized)) == (F, F)
     assert (alg.b_normalized, alg.primes) == (11, (2, 11))
