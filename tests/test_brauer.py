@@ -27,7 +27,7 @@ from relbrauer.brauer import (
     quaternion_witness,
 )
 from relbrauer.cli import parse_extension
-from relbrauer.exact import rational_exponents
+from relbrauer.exact import factor, rational_exponents
 
 from oracles import (
     cyclotomic_fields_from_generators,
@@ -132,6 +132,20 @@ def test_literal_does_not_depend_on_the_order_of_the_primes(monkeypatch):
     monkeypatch.setattr(brauer_mod, "factor", reversed_factor)
     again = Cyclotomic(n, gens)
     assert again == ext and (again.literal(), again.sigma) == (ext.literal(), ext.sigma)
+
+
+def test_sigma_where_rho_lists_the_primes_of_n_out_of_order():
+    # factor() lists 1019 before 1009, as Pollard rho split them.  Walking
+    # the CRT generators in that order, the sigma rule gave 937482; over the
+    # primes ascending it gives 720437.  Both generate G/H, so each
+    # invariant is the one for 937482 times coset_index(937482) = 11 mod 18
+    n = 1028171
+    assert list(factor(n)[1]) == [1019, 1009]
+    ext = Cyclotomic(n, (481188, 264314))
+    assert (ext.degree, ext.sigma) == (18, 720437)
+    assert ext.coset_index(937482) == 11
+    for_937482 = [11, 6, 14, 7, 5]
+    assert [ext.coset_index(a) for a in (2, 3, 5, 7, 11)] == [11 * k % 18 for k in for_937482]
 
 
 def test_cyclotomic_validation():
