@@ -42,6 +42,7 @@ from .cocycle import (
 from .curve import (
     IDENTITY_MAP,
     INFINITY,
+    ORDER_BOUND,
     CurvePoint,
     ModelMap,
     PointNotOnCurve,
@@ -53,7 +54,6 @@ from .exact import (
     FactoringLimitExceeded,
     Poly,
     Rat,
-    divisors,
     factor,
     is_probable_prime,
     mth_power_free_part,
@@ -65,7 +65,7 @@ from .funcfield import (
     DivisionByZeroFunction,
     EllFn,
 )
-from .torsion import ORDER_BOUND, TorsionGroup, torsion_subgroup
+from .torsion import TorsionGroup, torsion_subgroup
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "class_status",
     "cocycle_function",
     "cyclic_reduce",
-    "divisors",
     "factor",
     "hilbert_symbol",
     "is_probable_prime",

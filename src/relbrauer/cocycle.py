@@ -34,7 +34,7 @@ from .brauer import (
     quaternion_group_invariants,
 )
 from .curve import INFINITY, ORDER_BOUND, CurvePoint, WeierstrassCurve
-from .exact import Poly, _Value, rational_exponents
+from .exact import FactoringLimitExceeded, Poly, _Value, rational_exponents
 from .funcfield import EllFn
 
 
@@ -412,7 +412,8 @@ def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebr
     ext must be a degree-m extension descriptor; the class scalar b = c^k
     of pairing_scalar is reported raw and in m-th-power-free form.  Only the
     period product c is factored, once: b's exponents are k times c's, and
-    the class reads its normal form and its primes off them.
+    the class reads its normal form and its primes off them.  A factoring
+    refusal names the point: "pairing of (x, y): ...".
     """
     if ext.degree != cocycle.m:
         raise ValueError(
@@ -420,7 +421,10 @@ def brauer_pairing(cocycle: RationalCocycle, p: CurvePoint, ext) -> CyclicAlgebr
         )
     c, k = _period_product(cocycle, p)
     b = c**k
-    exps = {q: e * k for q, e in rational_exponents(c).items()}
+    try:
+        exps = {q: e * k for q, e in rational_exponents(c).items()}
+    except FactoringLimitExceeded as exc:
+        raise FactoringLimitExceeded(f"pairing of {p}: {exc}") from None
     return CyclicAlgebraClass(cocycle.m, ext, b, exps)
 
 

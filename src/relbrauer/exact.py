@@ -261,14 +261,6 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
     return sign, out
 
 
-def divisors(factorization: dict[int, int]) -> list[int]:
-    """All positive divisors of the factored integer, ascending."""
-    divs = [1]
-    for p, e in factorization.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def split_prime_power(n: int, p: int) -> tuple[int, int]:
     """(v, n / p^v) for v = v_p(n), n nonzero and p >= 2.
 

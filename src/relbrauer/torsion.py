@@ -1,21 +1,36 @@
-"""Rational torsion subgroups.
+"""Rational torsion subgroups, with no factoring.
 
-Candidates come from the integrality theorem (Nagell-Lutz) on a short
-integral model: a torsion point there has integer coordinates with y = 0 or
-y^2 dividing the discriminant.  A y whose square is no value of the cubic
-modulo some small prime is dropped before a6 - y^2 is factored.  Every
-multiple of a torsion point is integral too, so a candidate's multiples are
-added only until one has a denominator or the order exceeds 12 (Mazur's
-bound).  The points found, with the orders read off their multiples, are
-mapped back to the original model and assembled into a group presentation.
+The search runs on a short integral model y^2 = x^3 + a*x + b.  For an odd
+prime p of good reduction, E(Q)_tors injects into the reduction Ē(F_p)
+(Silverman, AEC, VII.3.1), so its order divides B, the gcd of #Ē(F_p) over
+the odd good primes below 400, counted by a table of square roots mod p;
+the gcd stops at 1, or once six primes in a row leave it unchanged.  Every
+torsion point there is integral (Nagell-Lutz), so for each prime l | B the
+x of a point of order l^k is an integer root (local.integer_roots) of an
+integer polynomial, and its y is the square root of the cubic:
+
+- order 2: the cubic itself; order 4: x = e +- s with s^2 = 3e^2 + a, over
+  the points (e, 0); order 2n from order n >= 4: the halving quartic of
+  the duplication formula, while 2n | B;
+- order 3: psi_3; order 9 from order 3: the numerator of x(3P) - x(Q);
+- order 5 and 7: psi_5 and psi_7 (no larger prime occurs, by Mazur).
+
+Each torsion point is a sum of its 2-primary and odd parts, with the
+product of their orders; the points are mapped back to the original model
+and assembled into a group presentation.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, isqrt
 
-from .curve import INFINITY, ORDER_BOUND, CurvePoint, WeierstrassCurve, to_short_integral
-from .exact import _Value, divisors, factor
+from .curve import INFINITY, CurvePoint, WeierstrassCurve, to_short_integral
+from .exact import _Value
+from .local import integer_roots
+
+# the odd primes below 400, where the reduction bound looks for good primes
+_BOUND_PRIMES = [p for p in range(3, 400, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))]
 
 
 class TorsionGroup(_Value):
@@ -41,98 +56,128 @@ class TorsionGroup(_Value):
         return " x ".join(f"Z/{n}" for n in sorted(self.invariants, reverse=True))
 
 
-def _integer_roots_depressed_cubic(a4: int, c: int) -> set[int]:
-    """Integer roots of x^3 + a4*x + c."""
-    roots: set[int] = set()
-    if c == 0:
-        roots.add(0)
-        if a4 <= 0:
-            s = isqrt(-a4)
-            if s * s == -a4:
-                roots.update((s, -s))
-        return roots
-    for d in divisors(factor(c)[1]):
-        for x in (d, -d):
-            if x**3 + a4 * x + c == 0:
-                roots.add(x)
-    return roots
-
-
-def _square_divisor_roots(disc: int) -> set[int]:
-    """All y >= 0 with y^2 dividing |disc|."""
-    ys = {0, 1}
-    base = [(p, e // 2) for p, e in factor(disc)[1].items() if e >= 2]
-    stack = [(0, 1)]
-    while stack:
-        i, val = stack.pop()
-        if i == len(base):
-            ys.add(val)
+def _order_bound(a: int, b: int) -> int:
+    """A multiple of |E(Q)_tors| for y^2 = x^3 + a*x + b: the gcd of
+    #Ē(F_p) = 1 + sum over x of #{y : y^2 = x^3 + a*x + b mod p}."""
+    disc = 4 * a * a * a + 27 * b * b
+    bound = unchanged = 0
+    for p in _BOUND_PRIMES:
+        if disc % p == 0:
             continue
-        p, half = base[i]
-        v = 1
-        for _ in range(half + 1):
-            stack.append((i + 1, val * v))
-            v *= p
-    return ys
+        roots = [1] + [0] * (p - 1)
+        for y in range(1, p // 2 + 1):
+            roots[y * y % p] = 2
+        ap, bp = a % p, b % p
+        count = 1 + sum([roots[(x * x * x + ap * x + bp) % p] for x in range(p)])
+        unchanged = unchanged + 1 if bound == gcd(bound, count) else 0
+        bound = gcd(bound, count)
+        if bound == 1 or unchanged == 6:
+            break
+    return bound
 
 
-# moduli of the sieve on y; on the curves in the tests, 2 and 3 drop no y
-# that these keep
-_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+def _mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        for j, d in enumerate(g, i):
+            out[j] += c * d
+    return out
 
 
-def _sieve(ys, a4: int, a6: int) -> list[int]:
-    """The y in ys such that y^2 = x^3 + a4*x + a6 has a root x modulo each
-    sieve prime; the others cannot lie on an integral point."""
-    ys = list(ys)
-    for q in _SIEVE_PRIMES:
-        values = {(x * x * x + a4 * x + a6) % q for x in range(q)}
-        allowed = {y for y in range(q) if y * y % q in values}
-        if len(allowed) < q:
-            ys = [y for y in ys if y % q in allowed]
-            if not ys:
-                break
-    return ys
+def _combine(f: list[int], s: int, g: list[int], t: int) -> list[int]:
+    """s*f + t*g, f and g of equal length."""
+    return [s * c + t * d for c, d in zip(f, g)]
 
 
-def _multiples_if_torsion(short: WeierstrassCurve, p: CurvePoint) -> list[CurvePoint] | None:
-    """[p, 2p, ..., (n-1)p] when p has order n <= ORDER_BOUND on the short
-    integral model, else None.
+def _points(a: int, b: int, xs, order: int) -> dict[tuple[int, int], int]:
+    """{(x, +-y): order} over the integers x in xs at which x^3 + a*x + b is
+    a square y^2."""
+    out = {}
+    for x in xs:
+        v = x * x * x + a * x + b
+        y = isqrt(v) if v >= 0 else -1
+        if y * y == v:
+            out[x, y] = out[x, -y] = order
+    return out
 
-    Every multiple of a torsion point there is integral (Nagell-Lutz), so
-    the first multiple with a denominator proves infinite order.
-    """
-    multiples = [p]
-    q = short.add(p, p)
-    while not q.is_infinity:
-        if q.x.denominator != 1 or len(multiples) == ORDER_BOUND - 1:
-            return None
-        multiples.append(q)
-        q = short.add(q, p)
-    return multiples
+
+def _two_primary(a: int, b: int, bound: int) -> dict[tuple[int, int], int]:
+    """The points of 2-power order > 1 with their orders."""
+    out: dict[tuple[int, int], int] = {}
+    level = _points(a, b, integer_roots([b, a, 0, 1]), 2) if bound % 2 == 0 else {}
+    n = 2
+    while level:
+        out.update(level)
+        n *= 2
+        if bound % n:
+            break
+        xs: set[int] = set()
+        for e in {x for x, _ in level}:
+            if n == 4:
+                s2 = 3 * e * e + a
+                s = isqrt(s2) if s2 >= 0 else -1
+                if s * s == s2:
+                    xs.update((e + s, e - s))
+            else:
+                xs.update(integer_roots([a * a - 4 * b * e, -8 * b - 4 * a * e, -2 * a, -4 * e, 1]))
+        level = _points(a, b, xs, n)
+    return out
+
+
+def _odd_parts(a: int, b: int, bound: int) -> list[dict[tuple[int, int], int]]:
+    """For each odd prime l | B with l <= 7, the points of l-power order
+    > 1 with their orders."""
+    f = [b, a, 0, 1]
+    psi3 = [-a * a, 12 * b, 6 * a, 0, 3]
+    g4 = [-8 * b * b - a * a * a, -4 * a * b, -5 * a * a, 20 * b, 5 * a, 0, 1]
+    parts = []
+    if bound % 3 == 0:
+        part = _points(a, b, integer_roots(psi3), 3)
+        if bound % 9 == 0 and part:
+            # x(3P) = x - 8 f g4 / psi_3^2
+            psi3_sq, fg4 = _mul(psi3, psi3), _mul(f, g4)
+            for xq in {x for x, _ in part}:
+                third = _combine(_mul([-xq, 1], psi3_sq), 1, fg4, -8)
+                part.update(_points(a, b, integer_roots(third), 9))
+        parts.append(part)
+    if bound % 5 == 0 or bound % 7 == 0:
+        f2g4, psi3_cube = _mul(_mul(f, f), g4), _mul(_mul(psi3, psi3), psi3)
+        psi5 = _combine(f2g4, 32, psi3_cube, -1)
+        if bound % 5 == 0:
+            parts.append(_points(a, b, integer_roots(psi5), 5))
+        if bound % 7 == 0:
+            psi7 = _combine(_mul(psi5, psi3_cube), 1, _mul(f2g4, _mul(g4, g4)), -128)
+            parts.append(_points(a, b, integer_roots(psi7), 7))
+    return parts
+
+
+def _direct_sum(curve: WeierstrassCurve, left: dict, right: dict) -> dict[tuple[int, int], int]:
+    """{point: order} of the group spanned by two finite sets of points of
+    coprime orders, each closed under addition and given without O."""
+    out = {**left, **right}
+    for p, n in left.items():
+        for q, k in right.items():
+            s = curve.add(_point(p), _point(q))
+            out[s.x.numerator, s.y.numerator] = n * k
+    return out
+
+
+def _point(xy: tuple[int, int]) -> CurvePoint:
+    return CurvePoint._of(Fraction(xy[0]), Fraction(xy[1]))
 
 
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     short, phi = to_short_integral(curve)
-    # on an integral model _scaled holds the coefficients and _disc is the
-    # integer discriminant
-    scale, _, _, _, a4, a6 = short._scaled
+    # on an integral model _scaled holds the coefficients
+    scale, _, _, _, a, b = short._scaled
     if scale != 1:
         raise ArithmeticError(f"the short model {short.equation()} is not integral")
+    bound = _order_bound(a, b)
     # orders on the short model, which the isomorphism phi keeps
-    orders: dict[CurvePoint, int] = {}
-    for y in _sieve(_square_divisor_roots(short._disc), a4, a6):
-        for x in _integer_roots_depressed_cubic(a4, a6 - y * y):
-            p = CurvePoint.affine(x, y)
-            if p in orders:
-                continue
-            multiples = _multiples_if_torsion(short, p)
-            if multiples is not None:
-                # the multiples of p include -p; kp has order n / gcd(k, n)
-                n = len(multiples) + 1
-                for k, q in enumerate(multiples, 1):
-                    orders[q] = n // gcd(k, n)
-    pulled = {phi.pull_point(p): n for p, n in orders.items()}
+    orders = _two_primary(a, b, bound)
+    for part in _odd_parts(a, b, bound):
+        orders = _direct_sum(short, orders, part)
+    pulled = {phi.pull_point(_point(p)): n for p, n in orders.items()}
     elements = (INFINITY, *sorted(pulled, key=lambda p: (p.x, p.y)))
     pulled[INFINITY] = 1
     return _presentation(curve, elements, pulled)

@@ -5,16 +5,17 @@ zeros and poles of a function by evaluation, equality of quaternion
 classes by Hilbert symbols, the pairing scalar as the norm of a function
 and by its closed forms in Fraction arithmetic, the group law, the
 invariants, the short integral model and the pull back of a point in
-Fraction arithmetic, the rational torsion subgroup by the full Nagell-Lutz
-search, the cyclotomic descriptor by a breadth-first closure with a
-closure check and a gcd per member and by a walk of H by cosets, and m-th
-powers of rationals by integer Newton roots.  seeded_models gives the curves and points the Fraction
-oracles are compared on.
+Fraction arithmetic, the rational torsion subgroup by the Nagell-Lutz
+search over the y with y^2 dividing the discriminant, the cyclotomic
+descriptor by a breadth-first closure with a closure check and a gcd per
+member and by a walk of H by cosets, and m-th powers of rationals by
+integer Newton roots.  seeded_models gives the curves and points the
+Fraction oracles are compared on.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from relbrauer import (
     INDETERMINATE,
@@ -34,7 +35,7 @@ from relbrauer.curve import (
     to_short_integral,
 )
 from relbrauer.exact import factor
-from relbrauer.torsion import _integer_roots_depressed_cubic, _presentation, _square_divisor_roots
+from relbrauer.torsion import _presentation
 
 
 def vanishes_at(f, point) -> bool:
@@ -129,19 +130,76 @@ def pairing_scalar_by_chain(cocycle, p):
     return b
 
 
+def divisors(factorization):
+    """All positive divisors of the factored integer, ascending."""
+    divs = [1]
+    for p, e in factorization.items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def _integer_roots_depressed_cubic(a4, c):
+    """Integer roots of x^3 + a4*x + c, by the divisors of c."""
+    roots = set()
+    if c == 0:
+        roots.add(0)
+        if a4 <= 0:
+            s = isqrt(-a4)
+            if s * s == -a4:
+                roots.update((s, -s))
+        return roots
+    for d in divisors(factor(c)[1]):
+        for x in (d, -d):
+            if x**3 + a4 * x + c == 0:
+                roots.add(x)
+    return roots
+
+
+def _square_divisor_roots(disc):
+    """All y >= 0 with y^2 dividing |disc|."""
+    ys = {0, 1}
+    base = [(p, e // 2) for p, e in factor(disc)[1].items() if e >= 2]
+    stack = [(0, 1)]
+    while stack:
+        i, val = stack.pop()
+        if i == len(base):
+            ys.add(val)
+            continue
+        p, half = base[i]
+        v = 1
+        for _ in range(half + 1):
+            stack.append((i + 1, val * v))
+            v *= p
+    return ys
+
+
+# moduli of the sieve on y
+_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def _sieve(ys, a4, a6):
+    """The y in ys such that y^2 = x^3 + a4*x + a6 has a root x modulo each
+    sieve prime; the others cannot lie on an integral point."""
+    ys = list(ys)
+    for q in _SIEVE_PRIMES:
+        values = {(x * x * x + a4 * x + a6) % q for x in range(q)}
+        ys = [y for y in ys if y * y % q in values]
+    return ys
+
+
 def torsion_subgroup_by_full_search(curve):
-    """The rational torsion subgroup without the sieve or the early exits.
+    """The rational torsion subgroup by the Nagell-Lutz search.
 
     On the short integral model, factor a6 - y^2 for every y with y = 0 or
-    y^2 dividing the discriminant, try every divisor as x, and keep the
-    points whose order there is at most 12; then read every order again on
-    the original model.
+    y^2 dividing the discriminant that a sieve modulo small primes keeps,
+    try every divisor as x, and keep the points whose order there is at
+    most 12; then read every order again on the original model.
     """
     short, phi = to_short_integral(curve)
     a4 = int(short.a4)
     a6 = int(short.a6)
     found = set()
-    for y in _square_divisor_roots(int(short.discriminant())):
+    for y in _sieve(_square_divisor_roots(int(short.discriminant())), a4, a6):
         for x in _integer_roots_depressed_cubic(a4, a6 - y * y):
             p = CurvePoint.affine(x, y)
             if short.point_order(p, ORDER_BOUND) is not None:

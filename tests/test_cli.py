@@ -287,9 +287,10 @@ def test_exit_code_factoring_limit(monkeypatch, capsys):
 
     monkeypatch.setattr(exact, "TRIAL_DIVISION_BOUND", 10)
     monkeypatch.setattr(exact, "RHO_ITERATION_CAP", 50)
-    # the discriminant holds (M61 * M89)**2, whose root rho cannot split
+    # the short integral model clears the denominator M61 * M89, which rho
+    # cannot split
     m61, m89 = 2**61 - 1, 2**89 - 1
-    assert main(["torsion", "--curve", f"[0,{m61 * m89}]"]) == 2
+    assert main(["torsion", "--curve", f"[0,1/{m61 * m89}]"]) == 2
     assert "factoring limit" in capsys.readouterr().err
 
 
@@ -306,19 +307,45 @@ _REFUSAL = "error: factoring limit exceeded: "
 
 def test_torsion_factoring_refusal_names_the_search_and_the_curve(monkeypatch, capsys):
     _small_factoring_caps(monkeypatch)
-    assert main(["torsion", "--curve", f"[0,{_M61_M89}]"]) == 2
+    assert main(["torsion", "--curve", f"[0,1/{_M61_M89}]"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"{_REFUSAL}torsion search on y^2 = x^3 + {_M61_M89}: factoring ")
+    assert err.startswith(f"{_REFUSAL}torsion search on y^2 = x^3 + 1/{_M61_M89}: factoring ")
     assert "Traceback" not in err
 
 
 def test_relbr_auto_factoring_refusal_names_the_torsion_search(monkeypatch, capsys):
     _small_factoring_caps(monkeypatch)
-    code = main(["relbr", "--curve", f"[0,{_M61_M89}]", "--t", "O", "--m", "2",
+    code = main(["relbr", "--curve", f"[0,1/{_M61_M89}]", "--t", "O", "--m", "2",
                  "--ext", "quad:-1"])
     assert code == 2
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith(f"{_REFUSAL}torsion search on y^2 = x^3 + {_M61_M89}: factoring ")
+    assert last.startswith(f"{_REFUSAL}torsion search on y^2 = x^3 + 1/{_M61_M89}: factoring ")
+
+
+@pytest.mark.parametrize("a6", [_M61_M89, 2**400 + 1], ids=["M61*M89", "2^400+1"])
+def test_torsion_with_an_unfactorable_discriminant_is_trivial_within_budget(capsys, a6):
+    # the reduction bound is 1 after a few primes, and nothing is factored
+    start = time.perf_counter()
+    assert main(["torsion", "--curve", f"[0,{a6}]"]) == 0
+    elapsed = time.perf_counter() - start
+    assert "\ntorsion: trivial (order 1)\n" in capsys.readouterr().out
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("command", ["pairing", "relbr"])
+def test_pairing_factoring_refusal_names_the_point(monkeypatch, capsys, command):
+    # on y^2 = x^3 + (X - X^2) x, the point (X, X) pairs with t = (0, 0) to
+    # the square class of X = M61 * M89, which rho cannot split
+    _small_factoring_caps(monkeypatch)
+    x = _M61_M89
+    flag = "--p" if command == "pairing" else "--gens"
+    code = main([command, "--curve", f"[{x - x * x},0]", "--t=0,0", "--m", "2",
+                 f"{flag}={x},{x}", "--ext", "quad:-1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"{_REFUSAL}pairing of ({x}, {x}): factoring {x}: "
+        f"composite cofactor {x} resisted 50 rho iterations\n"
+    )
 
 
 def test_extension_factoring_refusal_names_the_ext_literal(monkeypatch, capsys):
@@ -427,16 +454,14 @@ def test_exit_code_torsion_model_not_integral(monkeypatch, capsys):
 def test_exit_code_impossible_torsion_group(monkeypatch, capsys):
     import relbrauer.torsion as torsion_mod
 
-    # a search that takes each torsion point of E1 it meets for one of order
-    # 2, and so keeps no multiple, assembles O and two such points: a group
-    # of order 3 and exponent 2 cannot exist
-    multiples = torsion_mod._multiples_if_torsion
-    monkeypatch.setattr(
-        torsion_mod, "_multiples_if_torsion", lambda c, p: (multiples(c, p) or [])[:1] or None
-    )
+    # a root finder that keeps only the least root finds one of E1's two
+    # x-coordinates of order 5, so the search assembles O and two points of
+    # order 5: a group of order 3 and exponent 5 cannot exist
+    roots = torsion_mod.integer_roots
+    monkeypatch.setattr(torsion_mod, "integer_roots", lambda f: roots(f)[:1])
     assert main(["torsion", "--curve", "0 -1 1 -10 -20"]) == 3
     assert capsys.readouterr().err == (
-        "internal error: torsion of order 3 with exponent 2 is impossible over Q\n"
+        "internal error: torsion of order 3 with exponent 5 is impossible over Q\n"
     )
 
 
@@ -525,7 +550,8 @@ def test_import_loads_no_dataclasses_and_defers_no_module():
         assert module not in loaded
     assert [name for name in loaded if name.split(".")[0] == "relbrauer"] == [
         "relbrauer", "relbrauer.brauer", "relbrauer.cli", "relbrauer.cocycle",
-        "relbrauer.curve", "relbrauer.exact", "relbrauer.funcfield", "relbrauer.torsion",
+        "relbrauer.curve", "relbrauer.exact", "relbrauer.funcfield", "relbrauer.local",
+        "relbrauer.torsion",
     ]
 
 

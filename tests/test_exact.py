@@ -14,7 +14,6 @@ import pytest
 from relbrauer.exact import (
     FactoringLimitExceeded,
     Poly,
-    divisors,
     factor,
     is_probable_prime,
     mth_power_free_part,
@@ -278,11 +277,6 @@ def test_rho_receives_no_perfect_power_on_the_large_n_squares(monkeypatch):
     # each square root is a product of two primes above 10**6: one rho split
     assert len(received) == len(squares)
     assert not any(_is_perfect_power(v) for v in received)
-
-
-def test_divisors():
-    assert divisors(factor(12)[1]) == [1, 2, 3, 4, 6, 12]
-    assert divisors({}) == [1]
 
 
 def test_split_prime_power_matches_repeated_division():

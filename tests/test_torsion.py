@@ -1,14 +1,19 @@
-"""Lutz-Nagell torsion computation against curves with known torsion."""
+"""Torsion subgroups against curves with known torsion and the Nagell-Lutz
+oracle."""
 
 import importlib
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from oracles import torsion_subgroup_by_full_search
+from oracles import seeded_models, torsion_subgroup_by_full_search
 from relbrauer import INFINITY, CurvePoint, WeierstrassCurve, torsion_subgroup
+from relbrauer.cli import parse_curve
 
 curve_module = importlib.import_module("relbrauer.curve")
+exact_module = importlib.import_module("relbrauer.exact")
 torsion_module = importlib.import_module("relbrauer.torsion")
 
 
@@ -133,20 +138,23 @@ def test_mazur_groups_match_full_search(coeffs, described):
 
 
 @pytest.mark.parametrize(
-    "coeffs,max_factor,max_add",
+    "coeffs,max_add",
     [
-        # the full search of oracles.py: 151 factor calls, 24 adds
-        ((0, -1, 1, -10, -20), 10, None),
-        # the full search: 730 factor calls
-        ((1, 0, 0, -1070, 7812), 20, None),
-        # the full search: 48 adds, every candidate of infinite order
-        ((0, 0, 1, -1, 0), None, 16),
+        # a Nagell-Lutz search with no sieve: 151 factor calls, 24 adds
+        ((0, -1, 1, -10, -20), 0),
+        # with no sieve, 730 factor calls; here the presentation's 2 adds
+        ((1, 0, 0, -1070, 7812), 2),
+        # with no sieve, 48 adds, every candidate of infinite order
+        ((0, 0, 1, -1, 0), 0),
     ],
     ids=["11a1", "210e2", "37a1"],
 )
-def test_search_work_is_bounded(monkeypatch, coeffs, max_factor, max_add):
+def test_search_work_is_bounded(monkeypatch, coeffs, max_add):
+    # torsion.py imports no factor; the only factoring in a torsion call is
+    # that of the short model's denominators, in to_short_integral
+    assert not hasattr(torsion_module, "factor")
     counts = {"factor": 0, "add": 0}
-    real_factor = torsion_module.factor
+    real_factor = exact_module.factor
     real_add = WeierstrassCurve.add
 
     def counting_factor(n, *args, **kwargs):
@@ -157,14 +165,15 @@ def test_search_work_is_bounded(monkeypatch, coeffs, max_factor, max_add):
         counts["add"] += 1
         return real_add(self, p, q)
 
-    monkeypatch.setattr(torsion_module, "factor", counting_factor)
+    monkeypatch.setattr(exact_module, "factor", counting_factor)
     monkeypatch.setattr(curve_module, "factor", counting_factor)
+    curve = WeierstrassCurve(*coeffs)
+    curve_module.to_short_integral(curve)
+    in_model = counts["factor"]
     monkeypatch.setattr(WeierstrassCurve, "add", counting_add)
-    torsion_subgroup(WeierstrassCurve(*coeffs))
-    if max_factor is not None:
-        assert counts["factor"] <= max_factor
-    if max_add is not None:
-        assert counts["add"] <= max_add
+    torsion_subgroup(curve)
+    assert counts["factor"] == 2 * in_model
+    assert counts["add"] <= max_add
 
 
 @pytest.mark.parametrize(
@@ -188,3 +197,42 @@ def test_presentation_computes_one_point_of_g1(add_calls, coeffs, generators):
     assert group.generators == tuple(
         (CurvePoint(F(x), F(y)), n) for (x, y), n in generators
     )
+
+
+def _pool_curves():
+    """Every distinct curve of the benchmark's reference pools."""
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    literals = set()
+    for pool in sorted(reference.glob("*.json")):
+        for entries in json.loads(pool.read_text()).values():
+            for entry in entries:
+                argv = entry["argv"]
+                literals.add(argv[argv.index("--curve") + 1])
+    return sorted({parse_curve(text) for text in literals}, key=repr)
+
+
+@pytest.fixture(scope="module")
+def oracle_groups():
+    """(curve, the oracle's group) over the pool curves, the Mazur rows and
+    the seeded models."""
+    curves = _pool_curves()
+    curves += [WeierstrassCurve(*coeffs) for coeffs, _ in MAZUR_CURVES]
+    curves += [curve for curve, _ in seeded_models()]
+    return [(curve, torsion_subgroup_by_full_search(curve)) for curve in curves]
+
+
+def test_subgroup_matches_the_oracle_everywhere(oracle_groups):
+    assert len(oracle_groups) > 1200
+    for curve, expected in oracle_groups:
+        assert torsion_subgroup(curve) == expected, curve
+
+
+def test_reduction_bound_is_a_multiple_of_the_order(oracle_groups):
+    exact_bound = 0
+    for curve, expected in oracle_groups:
+        short, _ = curve_module.to_short_integral(curve)
+        bound = torsion_module._order_bound(int(short.a4), int(short.a6))
+        assert bound % expected.order == 0, curve
+        exact_bound += bound == expected.order
+    # the bound is the order itself on nearly every curve
+    assert exact_bound > 0.99 * len(oracle_groups)
