@@ -54,12 +54,20 @@ def _normalize(text: str) -> str:
     return text.replace("−", "-").strip()
 
 
-def _rational(token: str) -> Fraction:
-    """Fraction(token); an ASCII integer -?[0-9]+ skips Fraction's string regex."""
+def _rational_parts(token: str) -> tuple[int, int]:
+    """The numerator and denominator of Fraction(token); an ASCII integer
+    -?[0-9]+ skips Fraction's string regex and builds no Fraction."""
     digits = token[1:] if token[:1] == "-" else token
     if digits.isdigit() and digits.isascii():
-        return Fraction(int(token))
-    return Fraction(token)
+        return int(token), 1
+    value = Fraction(token)
+    return value.numerator, value.denominator
+
+
+def _rational(token: str) -> Fraction:
+    """Fraction(token), with the integer shortcut of _rational_parts."""
+    num, den = _rational_parts(token)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def _rational_token(token: str, position: int) -> Fraction:
@@ -98,9 +106,10 @@ def _try_affine(text: str) -> CurvePoint | None:
     if len(parts) != 2:
         return None
     try:
-        return CurvePoint._of(_rational(parts[0].strip()), _rational(parts[1].strip()))
+        x, y = _rational_parts(parts[0].strip()), _rational_parts(parts[1].strip())
     except (ValueError, ZeroDivisionError):
         return None
+    return CurvePoint._of(*x, *y)
 
 
 def parse_point(text: str, curve: WeierstrassCurve) -> CurvePoint:
@@ -181,7 +190,8 @@ def _rat_str(x: Fraction) -> str:
 def _point_json(p: CurvePoint):
     if p.is_infinity:
         return "O"
-    return [_rat_str(p.x), _rat_str(p.y)]
+    X, dx, Y, dy = p._c
+    return [str(X) if dx == 1 else f"{X}/{dx}", str(Y) if dy == 1 else f"{Y}/{dy}"]
 
 
 def _curve_json(c: WeierstrassCurve) -> dict:

@@ -2,14 +2,16 @@
 
 Full five-coefficient models y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6,
 the chord-tangent group law, point orders, and admissible changes of
-variables down to a short integral model.  The group law and the membership
-test run on integers: the numerators and denominators of the coordinates,
-and the coefficients scaled to integers (WeierstrassCurve._scaled); each
-coordinate of a sum is one Fraction built from them.  The invariants run on
-the weighted integral model L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6, with L the
-common denominator: its discriminant decides singularity, and its c4 and c6
-give the short integral model in one step (Silverman, AEC, III.1; Cremona,
-Algorithms for Modular Elliptic Curves, 3.1).
+variables down to a short integral model.  A point holds its coordinates as
+integers, x = X/dx and y = Y/dy in lowest terms, and builds the Fractions x
+and y only when they are asked for.  The group law, the membership test and
+the pull back from the short model run on those integers and on the
+coefficients scaled to integers (WeierstrassCurve._scaled); each coordinate
+of a sum is reduced by one gcd.  The invariants run on the weighted integral
+model L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6, with L the common denominator:
+its discriminant decides singularity, and its c4 and c6 give the short
+integral model in one step (Silverman, AEC, III.1; Cremona, Algorithms for
+Modular Elliptic Curves, 3.1).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import _Value, factor
+from .exact import _Value, factor, split_prime_power
 
 
 class SingularCurve(Exception):
@@ -29,37 +31,77 @@ class PointNotOnCurve(Exception):
 
 
 class CurvePoint(_Value):
-    """A rational point: affine coordinates, or the point at infinity (None, None)."""
+    """A rational point: affine coordinates, or the point at infinity (None, None).
 
-    __slots__ = _fields = ("x", "y")
+    _c holds (X, dx, Y, dy) for the point x = X/dx, y = Y/dy, each in lowest
+    terms with dx, dy > 0, or None at infinity; the group law reads and
+    writes it.  Equality compares _c.  The properties x and y are Fractions
+    built from _c on first access and kept in _x and _y, and the hash is
+    that of (x, y).
+    """
+
+    __slots__ = ("_c", "_x", "_y")
+    _fields = ("x", "y")
 
     def __init__(self, x: Fraction | None = None, y: Fraction | None = None):
         if (x is None) != (y is None):
             raise ValueError("affine points need both coordinates")
-        if x is not None:
+        if x is None:
+            self._set(None, None, None)
+        else:
             x, y = Fraction(x), Fraction(y)
-        self._set(x, y)
+            self._set((x.numerator, x.denominator, y.numerator, y.denominator), x, y)
 
     @staticmethod
     def affine(x, y) -> "CurvePoint":
         return CurvePoint(Fraction(x), Fraction(y))
 
     @staticmethod
-    def _of(x: Fraction, y: Fraction) -> "CurvePoint":
-        """The affine point (x, y) of two Fractions, which it takes as they are."""
-        p = object.__new__(CurvePoint)
-        p._set(x, y)
+    def _of(X: int, dx: int, Y: int, dy: int) -> "CurvePoint":
+        """The affine point (X/dx, Y/dy) of integers in lowest terms with
+        dx, dy > 0, which it takes as they are."""
+        p = _new(CurvePoint)
+        _set_c(p, (X, dx, Y, dy))
         return p
 
     @property
+    def x(self) -> Fraction | None:
+        try:
+            return self._x
+        except AttributeError:
+            X, dx, _, _ = self._c
+            object.__setattr__(self, "_x", Fraction(X, dx))
+            return self._x
+
+    @property
+    def y(self) -> Fraction | None:
+        try:
+            return self._y
+        except AttributeError:
+            _, _, Y, dy = self._c
+            object.__setattr__(self, "_y", Fraction(Y, dy))
+            return self._y
+
+    @property
     def is_infinity(self) -> bool:
-        return self.x is None
+        return self._c is None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __str__(self):
         if self.is_infinity:
             return "O"
         return f"({self.x}, {self.y})"
 
+
+_new = object.__new__
+_set_c = CurvePoint._c.__set__
 
 INFINITY = CurvePoint()
 
@@ -139,10 +181,10 @@ class WeierstrassCurve(_Value):
         With x = X/dx, y = Y/dy and the coefficients scaled to integers,
         the equation times dx^3 dy^2 is an identity between integers.
         """
-        if p.is_infinity:
+        c = p._c
+        if c is None:
             return True
-        x, y = p.x, p.y
-        X, dx, Y, dy = x.numerator, x.denominator, y.numerator, y.denominator
+        X, dx, Y, dy = c
         scale, a1, a2, a3, a4, a6 = self._scaled
         dx2 = dx * dx
         lhs = scale * Y * Y * dx2 * dx + Y * dy * dx2 * (a1 * X + a3 * dx)
@@ -154,13 +196,19 @@ class WeierstrassCurve(_Value):
             raise PointNotOnCurve(f"{p} does not satisfy {self.equation()}")
 
     def negate(self, p: CurvePoint) -> CurvePoint:
+        """-p = (x, -y - a1 x - a3), its y over scale dx dy and reduced."""
         self._require(p)
         if p.is_infinity:
             return INFINITY
-        return CurvePoint(p.x, -p.y - self.a1 * p.x - self.a3)
+        X, dx, Y, dy = p._c
+        scale, a1, _, a3, _, _ = self._scaled
+        num = -(scale * Y * dx + dy * (a1 * X + a3 * dx))
+        den = scale * dx * dy
+        g = gcd(num, den)
+        return CurvePoint._of(X, dx, num // g, den // g)
 
     def _slope(self, p: CurvePoint, q: CurvePoint) -> tuple[int, int] | None:
-        """The slope of chord_slope as (N, D) in lowest terms, or None.
+        """The slope of chord_slope as (N, D) in lowest terms with D > 0, or None.
 
         With x = X/dx and y = Y/dy, the chord slope is
         (Y2 dy1 - Y1 dy2) dx1 dx2 / ((X2 dx1 - X1 dx2) dy1 dy2).  The tangent
@@ -168,14 +216,12 @@ class WeierstrassCurve(_Value):
         multiplied by scale dx^2 dy, is a quotient of integers in the scaled
         coefficients.  Reducing the quotient takes one gcd.
         """
-        x1, y1, x2, y2 = p.x, p.y, q.x, q.y
-        X1, dx1, Y1, dy1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
-        X2, dx2 = x2.numerator, x2.denominator
+        X1, dx1, Y1, dy1 = p._c
+        X2, dx2, Y2, dy2 = q._c
         if X1 != X2 or dx1 != dx2:
-            Y2, dy2 = y2.numerator, y2.denominator
             num = (Y2 * dy1 - Y1 * dy2) * dx1 * dx2
             den = (X2 * dx1 - X1 * dx2) * dy1 * dy2
-        elif y1 != y2:
+        elif Y1 != Y2 or dy1 != dy2:
             # same x and a different y: on the curve, q = -p
             return None
         else:
@@ -186,6 +232,8 @@ class WeierstrassCurve(_Value):
             if not den:
                 return None
         g = gcd(num, den)
+        if den < 0:
+            g = -g
         return num // g, den // g
 
     def chord_slope(self, p: CurvePoint, q: CurvePoint) -> Fraction | None:
@@ -201,7 +249,7 @@ class WeierstrassCurve(_Value):
             x3 = (N/D)^2 + a1 N/D - a2 - x1 - x2,
             y3 = (N/D)(x1 - x3) - y1 - a1 x3 - a3,
 
-        each over one common denominator, and each a Fraction built once.
+        each over one positive common denominator and reduced by one gcd.
         """
         self._require(p)
         self._require(q)
@@ -214,22 +262,19 @@ class WeierstrassCurve(_Value):
             return INFINITY
         N, D = slope
         scale, a1, a2, a3, _, _ = self._scaled
-        x1, x2, y1 = p.x, q.x, p.y
-        X1, dx1, X2, dx2 = x1.numerator, x1.denominator, x2.numerator, x2.denominator
+        X1, dx1, Y1, dy1 = p._c
+        X2, dx2, _, _ = q._c
         sD2 = scale * D * D
-        x3 = Fraction(
-            (scale * N * N + (a1 * N - a2 * D) * D) * dx1 * dx2 - sD2 * (X1 * dx2 + X2 * dx1),
-            sD2 * dx1 * dx2,
-        )
-        X3, dx3 = x3.numerator, x3.denominator
-        Y1, dy1 = y1.numerator, y1.denominator
+        num = (scale * N * N + (a1 * N - a2 * D) * D) * dx1 * dx2 - sD2 * (X1 * dx2 + X2 * dx1)
+        den = sD2 * dx1 * dx2
+        g = gcd(num, den)
+        X3, dx3 = num // g, den // g
         sD = scale * D
-        y3 = Fraction(
-            dy1 * (scale * N * (X1 * dx3 - X3 * dx1) - D * dx1 * (a1 * X3 + a3 * dx3))
-            - sD * dx1 * dx3 * Y1,
-            sD * dx1 * dx3 * dy1,
-        )
-        return CurvePoint._of(x3, y3)
+        num = (dy1 * (scale * N * (X1 * dx3 - X3 * dx1) - D * dx1 * (a1 * X3 + a3 * dx3))
+               - sD * dx1 * dx3 * Y1)
+        den = sD * dx1 * dx3 * dy1
+        g = gcd(num, den)
+        return CurvePoint._of(X3, dx3, num // g, den // g)
 
     def multiply(self, n: int, p: CurvePoint) -> CurvePoint:
         """[n]p, by doubling from the lowest set bit of n: floor(log2 n) +
@@ -291,20 +336,21 @@ class ModelMap(_Value):
         if p.is_infinity:
             return INFINITY
         # x = u^2 x' + r and y = u^3 y' + s u^2 x' + t on numerators and
-        # denominators, one Fraction per coordinate
+        # denominators, each coordinate over a positive denominator and
+        # reduced by one gcd
         un, ud = self.u.numerator, self.u.denominator
         rn, rd = self.r.numerator, self.r.denominator
         sn, sd = self.s.numerator, self.s.denominator
         tn, td = self.t.numerator, self.t.denominator
-        a, b = p.x.numerator, p.x.denominator
-        c, d = p.y.numerator, p.y.denominator
+        a, b, c, d = p._c
         u2n, u2d = un * un, ud * ud
-        x = Fraction(u2n * a * rd + rn * u2d * b, u2d * b * rd)
-        y = Fraction(
-            (un * c * sd * b + sn * a * ud * d) * u2n * td + tn * ud * u2d * sd * b * d,
-            ud * u2d * sd * td * b * d,
-        )
-        return CurvePoint._of(x, y)
+        num, den = u2n * a * rd + rn * u2d * b, u2d * b * rd
+        g = gcd(num, den)
+        X, dx = num // g, den // g
+        num = (un * c * sd * b + sn * a * ud * d) * u2n * td + tn * ud * u2d * sd * b * d
+        den = ud * u2d * sd * td * b * d
+        g = gcd(num, den)
+        return CurvePoint._of(X, dx, num // g, den // g)
 
     def transform_curve(self, c: WeierstrassCurve) -> WeierstrassCurve:
         u, r, s, t = self.u, self.r, self.s, self.t
@@ -350,7 +396,8 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     cube (s = -a1/2, then r = -b2/12) gives y^2 = x^3 - c4/(48 L^4) x -
     c6/(864 L^6).  Scaling by u = 1/v, with v the least integer whose p-adic
     valuation clears both denominators at each of their primes p, makes A
-    and B integers.  Composed, the map is (1/v, r, s, -a3/2 + s r).
+    and B integers.  Those primes divide 6 L, so only L > 1 is factored.
+    Composed, the map is (1/v, r, s, -a3/2 + s r).
     """
     scale, a1, _, a3, _, _ = c._scaled
     b2, b4, b6, _ = _integral_b(c._scaled)
@@ -358,11 +405,12 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
     l2 = scale * scale
     den4, den6 = 48 * l2 * l2, 864 * l2 * l2 * l2
-    # the prime exponents of the denominators of -c4/den4 and -c6/den6
-    v4, v6 = ({} if d == 1 else factor(d)[1] for d in (den4 // gcd(c4, den4), den6 // gcd(c6, den6)))
+    # the denominators of -c4/den4 and -c6/den6, whose primes divide 6 L
+    d4, d6 = den4 // gcd(c4, den4), den6 // gcd(c6, den6)
     v = 1
-    for p in v4.keys() | v6.keys():
-        v *= p ** max(_ceil_div(v4.get(p, 0), 4), _ceil_div(v6.get(p, 0), 6))
+    for p in {2, 3, *(factor(scale)[1] if scale > 1 else ())}:
+        e4, e6 = split_prime_power(d4, p)[0], split_prime_power(d6, p)[0]
+        v *= p ** max(_ceil_div(e4, 4), _ceil_div(e6, 6))
     v2 = v * v
     A, rest4 = divmod(-c4 * v2 * v2, den4)
     B, rest6 = divmod(-c6 * v2 * v2 * v2, den6)

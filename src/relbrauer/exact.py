@@ -26,8 +26,12 @@ Rat = Fraction
 TRIAL_DIVISION_BOUND = 10**3
 RHO_ITERATION_CAP = 10**6
 
-# Deterministic Miller-Rabin witness set below ~3.3e24; probabilistic above.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases is deterministic below psi_13 =
+# 3317044064679887385961981 and probabilistic from there on (psi_13 itself
+# passes all 13; base 43 catches it).  The first 12 bases let psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441 through (Sorenson
+# and Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class _Value:

@@ -16,13 +16,15 @@ integer polynomial, and its y is the square root of the cubic:
 - order 5 and 7: psi_5 and psi_7 (no larger prime occurs, by Mazur).
 
 Each torsion point is a sum of its 2-primary and odd parts, with the
-product of their orders; the points are mapped back to the original model
-and assembled into a group presentation.
+product of their orders.  The points are keyed by their integer (x, y) on
+the short model, mapped back to the original model once each, and
+assembled into a group presentation in the order of those keys: the map
+back, x = u^2 x' + r and y = u^3 y' + s u^2 x' + t with u > 0, sorts the
+points by (x, y) as their keys (x', y') are sorted.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .curve import INFINITY, CurvePoint, WeierstrassCurve, to_short_integral
@@ -157,13 +159,13 @@ def _direct_sum(curve: WeierstrassCurve, left: dict, right: dict) -> dict[tuple[
     out = {**left, **right}
     for p, n in left.items():
         for q, k in right.items():
-            s = curve.add(_point(p), _point(q))
-            out[s.x.numerator, s.y.numerator] = n * k
+            X, _, Y, _ = curve.add(_point(p), _point(q))._c
+            out[X, Y] = n * k
     return out
 
 
 def _point(xy: tuple[int, int]) -> CurvePoint:
-    return CurvePoint._of(Fraction(xy[0]), Fraction(xy[1]))
+    return CurvePoint._of(xy[0], 1, xy[1], 1)
 
 
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
@@ -177,28 +179,28 @@ def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     orders = _two_primary(a, b, bound)
     for part in _odd_parts(a, b, bound):
         orders = _direct_sum(short, orders, part)
-    pulled = {phi.pull_point(_point(p)): n for p, n in orders.items()}
-    elements = (INFINITY, *sorted(pulled, key=lambda p: (p.x, p.y)))
-    pulled[INFINITY] = 1
-    return _presentation(curve, elements, pulled)
+    rows = [(xy, phi.pull_point(_point(xy)), n) for xy, n in orders.items()]
+    return _presentation(curve, rows)
 
 
-def _generator_key(p: CurvePoint):
+def _generator(rows, order: int) -> CurvePoint:
     # deterministic pick: smallest x, then the larger of the two y values
-    return (p.x, -p.y)
+    return min(
+        (row for row in rows if row[2] == order), key=lambda row: (row[0][0], -row[0][1])
+    )[1]
 
 
-def _presentation(
-    curve: WeierstrassCurve,
-    elements: tuple[CurvePoint, ...],
-    orders: dict[CurvePoint, int],
-) -> TorsionGroup:
+def _presentation(curve: WeierstrassCurve, rows) -> TorsionGroup:
+    """The group of O and the affine torsion points in rows, each given as
+    (key, point, order), where sorting the keys (kx, ky) sorts the points
+    by (x, y); the elements come in that order, after O."""
+    rows = sorted(rows, key=lambda row: row[0])
+    elements = (INFINITY, *(point for _, point, _ in rows))
     n = len(elements)
     if n == 1:
         return TorsionGroup((), (), elements)
-    max_order = max(orders.values())
-    top = sorted((p for p in elements if orders[p] == max_order), key=_generator_key)
-    g1 = top[0]
+    max_order = max(order for _, _, order in rows)
+    g1 = _generator(rows, max_order)
     if max_order == n:
         if n not in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12):
             raise ArithmeticError(f"cyclic torsion of order {n} is impossible over Q")
@@ -207,9 +209,5 @@ def _presentation(
         raise ArithmeticError(f"torsion of order {n} with exponent {max_order} is impossible over Q")
     # the only point of order 2 in <g1>
     half = curve.multiply(max_order // 2, g1)
-    complement = sorted(
-        (p for p in elements if orders[p] == 2 and p != half),
-        key=_generator_key,
-    )
-    g2 = complement[0]
+    g2 = _generator([row for row in rows if row[1] != half], 2)
     return TorsionGroup((2, max_order), ((g1, max_order), (g2, 2)), elements)

@@ -193,7 +193,8 @@ def torsion_subgroup_by_full_search(curve):
     On the short integral model, factor a6 - y^2 for every y with y = 0 or
     y^2 dividing the discriminant that a sieve modulo small primes keeps,
     try every divisor as x, and keep the points whose order there is at
-    most 12; then read every order again on the original model.
+    most 12; then read every order again on the original model, and sort
+    the points by their Fraction (x, y) there.
     """
     short, phi = to_short_integral(curve)
     a4 = int(short.a4)
@@ -205,11 +206,9 @@ def torsion_subgroup_by_full_search(curve):
             if short.point_order(p, ORDER_BOUND) is not None:
                 found.add(p)
                 found.add(short.negate(p))
-    elements = [INFINITY] + sorted(
-        (phi.pull_point(p) for p in found), key=lambda p: (p.x, p.y)
-    )
-    orders = {p: curve.point_order(p, ORDER_BOUND) for p in elements}
-    return _presentation(curve, tuple(elements), orders)
+    pulled = [phi.pull_point(p) for p in found]
+    rows = [((p.x, p.y), p, curve.point_order(p, ORDER_BOUND)) for p in pulled]
+    return _presentation(curve, rows)
 
 
 TORSION_CURVES = [

@@ -258,6 +258,18 @@ def test_pairing_with_huge_m_reads_one_period(capsys):
     assert elapsed < 0.5
 
 
+def test_pairing_over_a_field_whose_discriminant_is_psi12(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the bases
+    # 2 ... 37; taken for a prime, it made the class of 1/43 trivial, but
+    # (43/p) = (43/q) = -1, so the local invariant at 399165290221 is 1/2
+    code = main(
+        ["pairing", "--curve", "[-1849,0]", "--t=0,0", "--m", "2", "--p=43,0",
+         "--ext", "quad:318665857834031151167461"]
+    )
+    assert code == 0
+    assert "  status: nontrivial (witness prime 399165290221)\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("m", [3000, 10000])
 def test_infinite_order_t_refused_fast(capsys, m):
     # 37a1's (0, 0) has infinite order: the walk gives up at its 12th
@@ -430,9 +442,9 @@ def test_exit_code_nonconstant_cocycle(monkeypatch, capsys):
 def test_exit_code_short_model_not_integral(monkeypatch, capsys):
     import relbrauer.curve as curve_mod
 
-    # a factor that finds no prime leaves the scaling at 1, so the short
-    # model of y^2 = x^3 + x/4 keeps a4 = 1/4: a real check, not an assert
-    monkeypatch.setattr(curve_mod, "factor", lambda n: (1, {}))
+    # a valuation that finds no prime power leaves the scaling at 1, so the
+    # short model of y^2 = x^3 + x/4 keeps a4 = 1/4: a real check, not an assert
+    monkeypatch.setattr(curve_mod, "split_prime_power", lambda n, p: (0, n))
     assert main(["torsion", "--curve", "0 0 0 1/4 0"]) == 3
     assert capsys.readouterr().err == (
         "internal error: the short model of y^2 = x^3 + 1/4*x is not integral\n"

@@ -1,5 +1,9 @@
+import copy
+import importlib
+import pickle
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -17,6 +21,8 @@ from relbrauer import (
 from relbrauer.curve import equation_text
 
 from oracles import seeded_models
+
+curve_module = importlib.import_module("relbrauer.curve")
 
 
 def test_singular_models_rejected():
@@ -185,6 +191,111 @@ def test_add_makes_no_fraction_arithmetic(monkeypatch):
             for curve, p, q in pairs
         ]
     assert got == expected and got_slopes == slopes
+
+
+def _canonical(p):
+    """Whether p._c is None at infinity, else (X, dx, Y, dy) in lowest terms
+    with dx, dy > 0, and the integers of the Fractions x and y."""
+    if p._c is None:
+        return p.is_infinity and (p.x, p.y) == (None, None)
+    X, dx, Y, dy = p._c
+    return (dx > 0 and dy > 0 and gcd(X, dx) == 1 and gcd(Y, dy) == 1
+            and p._c == (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator))
+
+
+def test_point_integers_are_canonical_and_match_the_fraction_oracles():
+    # every add, negate and pull_point result holds reduced integers with
+    # positive denominators, the _c of the Fraction oracle's point
+    from oracles import add_by_fractions, pull_point_by_fractions
+
+    checked = dict.fromkeys(["add", "negate", "pull_point"], 0)
+    for curve, points in seeded_models():
+        _, phi = to_short_integral(curve)
+        for p in points:
+            for q in points:
+                total = curve.add(p, q)
+                expected = add_by_fractions(curve, p, q)
+                assert _canonical(total) and total._c == expected._c, (curve, p, q)
+                checked["add"] += 1
+            minus = curve.negate(p)
+            expected = p if p.is_infinity else CurvePoint(p.x, -p.y - curve.a1 * p.x - curve.a3)
+            assert _canonical(minus) and minus._c == expected._c, (curve, p)
+            image = phi.push_point(p)
+            pulled = phi.pull_point(image)
+            assert _canonical(pulled) and pulled._c == pull_point_by_fractions(phi, image)._c == p._c
+            checked["negate"] += 1
+            checked["pull_point"] += 1
+    assert min(checked.values()) >= 200, checked
+
+
+def test_group_law_builds_no_fraction(monkeypatch):
+    # on points built from integers, add, _slope, is_on_curve, negate and
+    # pull_point run with relbrauer.curve.Fraction refusing to be called
+    cases = []
+    for curve, points in seeded_models():
+        _, phi = to_short_integral(curve)
+        points = [INFINITY if p.is_infinity else CurvePoint._of(*p._c) for p in points]
+        cases.append((curve, phi, points, [phi.push_point(p) for p in points]))
+
+    def run():
+        out = []
+        for curve, phi, points, images in cases:
+            for p in points:
+                out.append((curve.is_on_curve(p), curve.negate(p)._c))
+                for q in points:
+                    slope = None if p.is_infinity or q.is_infinity else curve._slope(p, q)
+                    out.append((slope, curve.add(p, q)._c))
+            out += [phi.pull_point(image)._c for image in images]
+        return out
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction built inside the group law")
+
+    monkeypatch.setattr(curve_module, "Fraction", refuse)
+    assert run() == expected
+    assert len(expected) > 2000
+
+
+def test_coordinates_are_built_once_on_demand():
+    curve = WeierstrassCurve(0, -1, 1, -10, -20)
+    p = curve.add(CurvePoint(5, 5), CurvePoint(5, 5))
+    # the sum holds integers only until x or y is read
+    assert p._c == (16, 1, -61, 1)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(p, "_x")
+    assert hash(p) == hash((F(16), F(-61)))
+    assert p.x is p.x and p.y is p.y and (p.x, p.y) == (16, -61)
+    q = CurvePoint._of(-13, 4, 9, 8)
+    for r in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert r == q and r._c == q._c and hash(r) == hash(q) and repr(r) == repr(q)
+    assert repr(q) == "CurvePoint(x=Fraction(-13, 4), y=Fraction(9, 8))"
+    assert q == CurvePoint(F(-13, 4), F(9, 8)) and str(q) == "(-13/4, 9/8)"
+    assert INFINITY._c is None and INFINITY == CurvePoint() != q
+
+
+def test_to_short_integral_factors_only_the_common_denominator(monkeypatch):
+    # the denominators of the short model divide 48 L^4 and 864 L^6: v comes
+    # from the valuations at 2, 3 and the primes of L, and factor sees L only
+    from oracles import TORSION_CURVES, to_short_integral_by_chain
+
+    factored = []
+    real_factor = curve_module.factor
+
+    def recording_factor(n):
+        factored.append(n)
+        return real_factor(n)
+
+    monkeypatch.setattr(curve_module, "factor", recording_factor)
+    curves = [WeierstrassCurve(*c) for c in TORSION_CURVES]
+    curves += [curve for curve, _ in seeded_models()]
+    curves.append(WeierstrassCurve(F(1, 35), 0, F(1, 7), F(3, 25), F(2, 49)))
+    for curve in curves:
+        factored.clear()
+        assert to_short_integral(curve) == to_short_integral_by_chain(curve)
+        scale = curve._scaled[0]
+        assert factored == ([scale] if scale > 1 else []), curve
 
 
 def test_invariants_match_fraction_oracle():

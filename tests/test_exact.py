@@ -26,6 +26,8 @@ from oracles import _is_integer_mth_power, is_mth_power
 M61 = 2**61 - 1
 M89 = 2**89 - 1
 M127 = 2**127 - 1
+# the least strong pseudoprime to the first 12 prime bases (Sorenson-Webster)
+PSI12 = 318665857834031151167461
 DECIDE_M2 = Path(__file__).resolve().parents[1] / "bench" / "reference" / "decide_m2.json"
 
 
@@ -42,6 +44,7 @@ def test_is_probable_prime_known_hard_cases():
     assert not is_probable_prime(561)  # Carmichael
     assert not is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
     assert not is_probable_prime(M61 * M61)
+    assert not is_probable_prime(PSI12)  # passes the bases 2 ... 37; 41 catches it
 
 
 def test_factor_basic():
@@ -49,6 +52,7 @@ def test_factor_basic():
     assert factor(1) == (1, {})
     assert factor(-1) == (-1, {})
     assert factor(97) == (1, {97: 1})
+    assert factor(PSI12) == (1, {399165290221: 1, 798330580441: 1})
     sign, expo = factor(2**10 * 3**5 * 11)
     assert sign == 1 and expo == {2: 10, 3: 5, 11: 1}
 
