@@ -109,7 +109,7 @@ def _try_affine(text: str) -> CurvePoint | None:
         x, y = _rational_parts(parts[0].strip()), _rational_parts(parts[1].strip())
     except (ValueError, ZeroDivisionError):
         return None
-    return CurvePoint._of(*x, *y)
+    return CurvePoint.from_integers(*x, *y)
 
 
 def parse_point(text: str, curve: WeierstrassCurve) -> CurvePoint:
@@ -190,7 +190,7 @@ def _rat_str(x: Fraction) -> str:
 def _point_json(p: CurvePoint):
     if p.is_infinity:
         return "O"
-    X, dx, Y, dy = p._c
+    X, dx, Y, dy = p.integers
     return [str(X) if dx == 1 else f"{X}/{dx}", str(Y) if dy == 1 else f"{Y}/{dy}"]
 
 

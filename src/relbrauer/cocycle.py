@@ -293,9 +293,9 @@ def _period_product(cocycle: RationalCocycle, p: CurvePoint) -> tuple[Fraction, 
     leading coefficients over one period O, t, ..., [n-1]t of <t>, and
     k = m/n.  See pairing_scalar for the closed forms and the checks.
 
-    Every closed form is a quotient of integers in the points' _c = (X, dx,
-    Y, dy) and in _scaled; the product keeps one integer numerator and one
-    denominator, and c is the one Fraction built.
+    Every closed form is a quotient of integers in the points' integers
+    (X, dx, Y, dy) and in _scaled; the product keeps one integer numerator
+    and one denominator, and c is the one Fraction built.
     """
     curve = cocycle.curve
     curve._require(p)
@@ -304,8 +304,8 @@ def _period_product(cocycle: RationalCocycle, p: CurvePoint) -> tuple[Fraction, 
     if t.is_infinity or p.is_infinity:
         return Fraction(1), k
     scale, a1, a2, a3, _, _ = curve._scaled
-    Xt, dxt, Yt, dyt = t._c
-    Xp, dxp, Yp, dyp = p._c
+    Xt, dxt, Yt, dyt = t.integers
+    Xp, dxp, Yp, dyp = p.integers
     total = curve.add(t, p)
     vertical = total.is_infinity
     if vertical:
@@ -323,7 +323,7 @@ def _period_product(cocycle: RationalCocycle, p: CurvePoint) -> tuple[Fraction, 
         # is (alpha y - beta x - gamma) / alpha
         alpha, beta = D * dxt * dyt, N * dxt * dyt
         line = (alpha, beta, Yt * D * dxt - N * Xt * dyt)
-        X3, dx3, Y3, dy3 = total._c
+        X3, dx3, Y3, dy3 = total.integers
         # -(t+p) = (x3, -y(t+p) - a1 x3 - a3) lies on L, and x3 is the root
         # of prod (x - x_i) that x(t) and x(p) leave: x(t) + x(p) + x3 =
         # lam^2 + a1 lam - a2
@@ -337,7 +337,7 @@ def _period_product(cocycle: RationalCocycle, p: CurvePoint) -> tuple[Fraction, 
         roots = ((Xt, dxt), (Xp, dxp), (X3, dx3))
         num, den, order = -1, 1, 1
     for q in cocycle._cycle[1:]:
-        q = q._c
+        q = q.integers
         if vertical:
             c, d, e = _lc_vertical(curve, q, (Xt, dxt))
             num, den, order = num * d, den * c, order - e

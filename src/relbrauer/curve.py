@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .exact import _Value, factor, split_prime_power
 
@@ -33,11 +34,13 @@ class PointNotOnCurve(Exception):
 class CurvePoint(_Value):
     """A rational point: affine coordinates, or the point at infinity (None, None).
 
-    _c holds (X, dx, Y, dy) for the point x = X/dx, y = Y/dy, each in lowest
-    terms with dx, dy > 0, or None at infinity; the group law reads and
-    writes it.  Equality compares _c.  The properties x and y are Fractions
-    built from _c on first access and kept in _x and _y, and the hash is
-    that of (x, y).
+    The property integers is (X, dx, Y, dy) for the point x = X/dx,
+    y = Y/dy, each in lowest terms with dx, dy > 0, or None at infinity;
+    from_integers builds a point from four integers in any form and reduces
+    them, while _of, used only in this module, takes them as they are.
+    Equality compares the integers.  The properties x and y are Fractions
+    built from them on first access and kept, and the hash is that of
+    (x, y).
     """
 
     __slots__ = ("_c", "_x", "_y")
@@ -55,6 +58,19 @@ class CurvePoint(_Value):
     @staticmethod
     def affine(x, y) -> "CurvePoint":
         return CurvePoint(Fraction(x), Fraction(y))
+
+    @staticmethod
+    def from_integers(X: int, dx: int, Y: int, dy: int) -> "CurvePoint":
+        """The affine point (X/dx, Y/dy), for integers with dx, dy nonzero,
+        each coordinate brought to lowest terms with a positive denominator."""
+        if not dx or not dy:
+            raise ZeroDivisionError("a coordinate has denominator 0")
+        g, h = gcd(X, dx), gcd(Y, dy)
+        if dx < 0:
+            g = -g
+        if dy < 0:
+            h = -h
+        return CurvePoint._of(X // g, dx // g, Y // h, dy // h)
 
     @staticmethod
     def _of(X: int, dx: int, Y: int, dy: int) -> "CurvePoint":
@@ -81,6 +97,12 @@ class CurvePoint(_Value):
             _, _, Y, dy = self._c
             object.__setattr__(self, "_y", Fraction(Y, dy))
             return self._y
+
+    integers = property(
+        attrgetter("_c"),
+        doc="(X, dx, Y, dy) with x = X/dx and y = Y/dy in lowest terms and "
+        "dx, dy > 0, or None at infinity.",
+    )
 
     @property
     def is_infinity(self) -> bool:
@@ -396,8 +418,9 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     cube (s = -a1/2, then r = -b2/12) gives y^2 = x^3 - c4/(48 L^4) x -
     c6/(864 L^6).  Scaling by u = 1/v, with v the least integer whose p-adic
     valuation clears both denominators at each of their primes p, makes A
-    and B integers.  Those primes divide 6 L, so only L > 1 is factored.
-    Composed, the map is (1/v, r, s, -a3/2 + s r).
+    and B integers.  Those primes divide 6 L: the valuations at 2 and 3 are
+    split off, and only a cofactor left above 1 is factored, so an integral
+    model factors nothing.  Composed, the map is (1/v, r, s, -a3/2 + s r).
     """
     scale, a1, _, a3, _, _ = c._scaled
     b2, b4, b6, _ = _integral_b(c._scaled)
@@ -408,9 +431,13 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     # the denominators of -c4/den4 and -c6/den6, whose primes divide 6 L
     d4, d6 = den4 // gcd(c4, den4), den6 // gcd(c6, den6)
     v = 1
-    for p in {2, 3, *(factor(scale)[1] if scale > 1 else ())}:
-        e4, e6 = split_prime_power(d4, p)[0], split_prime_power(d6, p)[0]
+    for p in (2, 3):
+        (e4, d4), (e6, d6) = split_prime_power(d4, p), split_prime_power(d6, p)
         v *= p ** max(_ceil_div(e4, 4), _ceil_div(e6, 6))
+    # what is left of d4 and d6 is prime to 6 and divides a power of L
+    v4, v6 = ({} if d == 1 else factor(d)[1] for d in (d4, d6))
+    for p in v4.keys() | v6.keys():
+        v *= p ** max(_ceil_div(v4.get(p, 0), 4), _ceil_div(v6.get(p, 0), 6))
     v2 = v * v
     A, rest4 = divmod(-c4 * v2 * v2, den4)
     B, rest6 = divmod(-c6 * v2 * v2 * v2, den6)

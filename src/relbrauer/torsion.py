@@ -159,13 +159,13 @@ def _direct_sum(curve: WeierstrassCurve, left: dict, right: dict) -> dict[tuple[
     out = {**left, **right}
     for p, n in left.items():
         for q, k in right.items():
-            X, _, Y, _ = curve.add(_point(p), _point(q))._c
+            X, _, Y, _ = curve.add(_point(p), _point(q)).integers
             out[X, Y] = n * k
     return out
 
 
 def _point(xy: tuple[int, int]) -> CurvePoint:
-    return CurvePoint._of(xy[0], 1, xy[1], 1)
+    return CurvePoint.from_integers(xy[0], 1, xy[1], 1)
 
 
 def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:

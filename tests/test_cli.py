@@ -325,6 +325,17 @@ def test_torsion_factoring_refusal_names_the_search_and_the_curve(monkeypatch, c
     assert "Traceback" not in err
 
 
+def test_torsion_of_a_translated_model_factors_no_common_denominator(capsys):
+    # y^2 = x^3 + 1 under x -> x + 1/X: L = X^3 > 1, but its c4 and c6 leave
+    # no denominator prime to 6, so the search never factors X
+    X = _M61_M89
+    curve = f"0 3/{X} 0 3/{X**2} {X**3 + 1}/{X**3}"
+    start = time.perf_counter()
+    assert main(["torsion", "--curve", curve]) == 0
+    assert time.perf_counter() - start < 2
+    assert "torsion: Z/6 (order 6)\n" in capsys.readouterr().out
+
+
 def test_relbr_auto_factoring_refusal_names_the_torsion_search(monkeypatch, capsys):
     _small_factoring_caps(monkeypatch)
     code = main(["relbr", "--curve", f"[0,1/{_M61_M89}]", "--t", "O", "--m", "2",
@@ -442,9 +453,11 @@ def test_exit_code_nonconstant_cocycle(monkeypatch, capsys):
 def test_exit_code_short_model_not_integral(monkeypatch, capsys):
     import relbrauer.curve as curve_mod
 
-    # a valuation that finds no prime power leaves the scaling at 1, so the
-    # short model of y^2 = x^3 + x/4 keeps a4 = 1/4: a real check, not an assert
+    # a valuation that finds no prime power and a factor that finds no prime
+    # leave the scaling at 1, so the short model of y^2 = x^3 + x/4 keeps
+    # a4 = 1/4: a real check, not an assert
     monkeypatch.setattr(curve_mod, "split_prime_power", lambda n, p: (0, n))
+    monkeypatch.setattr(curve_mod, "factor", lambda n: (1, {}))
     assert main(["torsion", "--curve", "0 0 0 1/4 0"]) == 3
     assert capsys.readouterr().err == (
         "internal error: the short model of y^2 = x^3 + 1/4*x is not integral\n"

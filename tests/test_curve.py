@@ -194,18 +194,18 @@ def test_add_makes_no_fraction_arithmetic(monkeypatch):
 
 
 def _canonical(p):
-    """Whether p._c is None at infinity, else (X, dx, Y, dy) in lowest terms
-    with dx, dy > 0, and the integers of the Fractions x and y."""
-    if p._c is None:
+    """Whether p.integers is None at infinity, else (X, dx, Y, dy) in lowest
+    terms with dx, dy > 0, and the integers of the Fractions x and y."""
+    if p.integers is None:
         return p.is_infinity and (p.x, p.y) == (None, None)
-    X, dx, Y, dy = p._c
+    X, dx, Y, dy = p.integers
     return (dx > 0 and dy > 0 and gcd(X, dx) == 1 and gcd(Y, dy) == 1
-            and p._c == (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator))
+            and p.integers == (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator))
 
 
 def test_point_integers_are_canonical_and_match_the_fraction_oracles():
     # every add, negate and pull_point result holds reduced integers with
-    # positive denominators, the _c of the Fraction oracle's point
+    # positive denominators, the integers of the Fraction oracle's point
     from oracles import add_by_fractions, pull_point_by_fractions
 
     checked = dict.fromkeys(["add", "negate", "pull_point"], 0)
@@ -215,14 +215,14 @@ def test_point_integers_are_canonical_and_match_the_fraction_oracles():
             for q in points:
                 total = curve.add(p, q)
                 expected = add_by_fractions(curve, p, q)
-                assert _canonical(total) and total._c == expected._c, (curve, p, q)
+                assert _canonical(total) and total.integers == expected.integers, (curve, p, q)
                 checked["add"] += 1
             minus = curve.negate(p)
             expected = p if p.is_infinity else CurvePoint(p.x, -p.y - curve.a1 * p.x - curve.a3)
-            assert _canonical(minus) and minus._c == expected._c, (curve, p)
+            assert _canonical(minus) and minus.integers == expected.integers, (curve, p)
             image = phi.push_point(p)
             pulled = phi.pull_point(image)
-            assert _canonical(pulled) and pulled._c == pull_point_by_fractions(phi, image)._c == p._c
+            assert _canonical(pulled) and pulled.integers == pull_point_by_fractions(phi, image).integers == p.integers
             checked["negate"] += 1
             checked["pull_point"] += 1
     assert min(checked.values()) >= 200, checked
@@ -234,18 +234,18 @@ def test_group_law_builds_no_fraction(monkeypatch):
     cases = []
     for curve, points in seeded_models():
         _, phi = to_short_integral(curve)
-        points = [INFINITY if p.is_infinity else CurvePoint._of(*p._c) for p in points]
+        points = [INFINITY if p.is_infinity else CurvePoint.from_integers(*p.integers) for p in points]
         cases.append((curve, phi, points, [phi.push_point(p) for p in points]))
 
     def run():
         out = []
         for curve, phi, points, images in cases:
             for p in points:
-                out.append((curve.is_on_curve(p), curve.negate(p)._c))
+                out.append((curve.is_on_curve(p), curve.negate(p).integers))
                 for q in points:
                     slope = None if p.is_infinity or q.is_infinity else curve._slope(p, q)
-                    out.append((slope, curve.add(p, q)._c))
-            out += [phi.pull_point(image)._c for image in images]
+                    out.append((slope, curve.add(p, q).integers))
+            out += [phi.pull_point(image).integers for image in images]
         return out
 
     expected = run()
@@ -262,22 +262,41 @@ def test_coordinates_are_built_once_on_demand():
     curve = WeierstrassCurve(0, -1, 1, -10, -20)
     p = curve.add(CurvePoint(5, 5), CurvePoint(5, 5))
     # the sum holds integers only until x or y is read
-    assert p._c == (16, 1, -61, 1)
+    assert p.integers == (16, 1, -61, 1)
     with pytest.raises(AttributeError):
         object.__getattribute__(p, "_x")
     assert hash(p) == hash((F(16), F(-61)))
     assert p.x is p.x and p.y is p.y and (p.x, p.y) == (16, -61)
-    q = CurvePoint._of(-13, 4, 9, 8)
+    q = CurvePoint.from_integers(-13, 4, 9, 8)
     for r in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
-        assert r == q and r._c == q._c and hash(r) == hash(q) and repr(r) == repr(q)
+        assert r == q and r.integers == q.integers and hash(r) == hash(q) and repr(r) == repr(q)
     assert repr(q) == "CurvePoint(x=Fraction(-13, 4), y=Fraction(9, 8))"
     assert q == CurvePoint(F(-13, 4), F(9, 8)) and str(q) == "(-13/4, 9/8)"
-    assert INFINITY._c is None and INFINITY == CurvePoint() != q
+    assert INFINITY.integers is None and INFINITY == CurvePoint() != q
+    # from_integers brings any nonzero denominators to lowest terms
+    assert CurvePoint.from_integers(26, -8, -18, -16).integers == (-13, 4, 9, 8)
+    assert CurvePoint.from_integers(0, -5, 7, 1).integers == (0, 1, 7, 1)
+    with pytest.raises(ZeroDivisionError):
+        CurvePoint.from_integers(1, 0, 1, 1)
 
 
-def test_to_short_integral_factors_only_the_common_denominator(monkeypatch):
-    # the denominators of the short model divide 48 L^4 and 864 L^6: v comes
-    # from the valuations at 2, 3 and the primes of L, and factor sees L only
+def _prime_to_6(n: int) -> int:
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+    return n
+
+
+# y^2 = x^3 + 1 under x -> x + 1/X, with X = M61 * M89: L > 1 but c4 and
+# c6 are those of y^2 = x^3 + 1, and rho cannot split X within its cap
+TRANSLATED_X = (2**61 - 1) * (2**89 - 1)
+TRANSLATED = (0, F(3, TRANSLATED_X), 0, F(3, TRANSLATED_X**2), 1 + F(1, TRANSLATED_X**3))
+
+
+def test_to_short_integral_factors_only_what_is_left_after_2_and_3(monkeypatch):
+    # the denominators of -c4/48 and -c6/864 divide 48 L^4 and 864 L^6: v
+    # comes from the valuations at 2 and 3, and factor sees only the parts
+    # of those denominators prime to 6, and only those above 1
     from oracles import TORSION_CURVES, to_short_integral_by_chain
 
     factored = []
@@ -291,11 +310,29 @@ def test_to_short_integral_factors_only_the_common_denominator(monkeypatch):
     curves = [WeierstrassCurve(*c) for c in TORSION_CURVES]
     curves += [curve for curve, _ in seeded_models()]
     curves.append(WeierstrassCurve(F(1, 35), 0, F(1, 7), F(3, 25), F(2, 49)))
+    seen = 0
     for curve in curves:
         factored.clear()
         assert to_short_integral(curve) == to_short_integral_by_chain(curve)
-        scale = curve._scaled[0]
-        assert factored == ([scale] if scale > 1 else []), curve
+        b2, b4, b6, _ = curve.b_invariants()
+        c4, c6 = b2 * b2 - 24 * b4, -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+        left = [_prime_to_6((c / k).denominator) for c, k in ((c4, 48), (c6, 864))]
+        assert factored == [d for d in left if d > 1], curve
+        seen += len(factored)
+    assert seen > 0
+    factored.clear()
+    curve = WeierstrassCurve(*TRANSLATED)
+    short, phi = to_short_integral(curve)
+    assert factored == [] and curve._scaled[0] > 1
+    assert short == WeierstrassCurve(0, 0, 0, 0, 1) and phi.u == 1
+
+
+def test_translated_model_with_an_unsplittable_common_denominator():
+    group = torsion_subgroup(WeierstrassCurve(*TRANSLATED))
+    assert group.invariants == (6,) and group.order == 6
+    xs = {p.x for p in group.elements if not p.is_infinity}
+    # the x of y^2 = x^3 + 1, moved by -1/X
+    assert xs == {x - F(1, TRANSLATED_X) for x in (-1, 0, 2)}
 
 
 def test_invariants_match_fraction_oracle():
