@@ -225,23 +225,6 @@ def cyclic_reduce(tc: TwoCocycle) -> Fraction:
     return b
 
 
-def _fy(curve: WeierstrassCurve, q: tuple[int, int, int, int]) -> tuple[int, int]:
-    """F_y = 2y + a1 x + a3 at q = (X, dx, Y, dy), the point x = X/dx,
-    y = Y/dy, as (numerator, denominator)."""
-    X, dx, Y, dy = q
-    scale, a1, _, a3, _, _ = curve._scaled
-    return 2 * scale * Y * dx + dy * (a1 * X + a3 * dx), scale * dx * dy
-
-
-def _fx(curve: WeierstrassCurve, q: tuple[int, int, int, int]) -> tuple[int, int]:
-    """F_x = a1 y - 3x^2 - 2 a2 x - a4 at q = (X, dx, Y, dy), as (numerator,
-    denominator)."""
-    X, dx, Y, dy = q
-    scale, a1, a2, _, a4, _ = curve._scaled
-    num = a1 * Y * dx * dx - dy * (3 * scale * X * X + dx * (2 * a2 * X + a4 * dx))
-    return num, scale * dx * dx * dy
-
-
 def _lc_vertical(curve: WeierstrassCurve, q: tuple[int, int, int, int],
                  a: tuple[int, int]) -> tuple[int, int, int]:
     """(numerator, denominator, ord_q) of lc_q of x - A/dA, for a = (A, dA)
@@ -250,10 +233,10 @@ def _lc_vertical(curve: WeierstrassCurve, q: tuple[int, int, int, int],
     A, dA = a
     if X != A or dx != dA:
         return X * dA - A * dx, dx * dA, 0
-    num, den = _fy(curve, q)
+    num, den = curve._fy(q)
     if num:
         return num, den, 1
-    num, den = _fx(curve, q)
+    num, den = curve._fx(q)
     return -num, den, 2
 
 
@@ -274,9 +257,9 @@ def _lc_line(curve: WeierstrassCurve, q: tuple[int, int, int, int], line: tuple[
     num = _line_numerator(line, q)
     if num:
         return num, line[0] * dx * dy, 0
-    fy, fy_den = _fy(curve, q)
+    fy, fy_den = curve._fy(q)
     if not fy:
-        num, den = _fx(curve, q)
+        num, den = curve._fx(q)
         return -num, den, 1
     # F_y^(e-1) prod_{x_i != x0} (x0 - x_i), starting from 1/F_y
     num, den, e = fy_den, fy, 0
@@ -305,13 +288,12 @@ def _period_product(cocycle: RationalCocycle, p: CurvePoint) -> tuple[Fraction, 
         return Fraction(1), k
     scale, a1, a2, a3, _, _ = curve._scaled
     Xt, dxt, Yt, dyt = t.integers
-    Xp, dxp, Yp, dyp = p.integers
+    Xp, dxp, _, _ = p.integers
     total = curve.add(t, p)
     vertical = total.is_infinity
     if vertical:
-        # p = -t: x(p) = x(t) and y(p) + y(t) + a1 x(t) + a3 = 0
-        if (Xp != Xt or dxp != dxt
-                or (Yp * dyt + Yt * dyp) * scale * dxt + dyp * dyt * (a1 * Xt + a3 * dxt)):
+        # t + p = O, so p must be -t
+        if p != curve.negate(t):
             raise NonConstantCocycleValue("t + p = O but p is not -t")
         num, den, order = 1, 1, 2
     else:

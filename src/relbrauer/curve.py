@@ -131,6 +131,12 @@ INFINITY = CurvePoint()
 ORDER_BOUND = 12
 
 
+def _fraction(a) -> Fraction:
+    """a itself when it is a Fraction, else Fraction(a): Fraction of a
+    Fraction rebuilds it through the slow numbers.Rational check."""
+    return a if a.__class__ is Fraction else Fraction(a)
+
+
 def equation_text(a1: str, a2: str, a3: str, a4: str, a6: str) -> str:
     """The equation of the model whose coefficients are written as the
     strings str(Fraction), e.g. 'y^2 + y = x^3 - x^2 - 10*x - 20'."""
@@ -178,7 +184,7 @@ class WeierstrassCurve(_Value):
     _fields = __slots__[:5]
 
     def __init__(self, a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fraction):
-        coeffs = tuple(map(Fraction, (a1, a2, a3, a4, a6)))
+        coeffs = tuple(map(_fraction, (a1, a2, a3, a4, a6)))
         scale = lcm(*(a.denominator for a in coeffs))
         scaled = (scale, *(a.numerator * (scale // a.denominator) for a in coeffs))
         b2, b4, b6, b8 = _integral_b(scaled)
@@ -229,14 +235,29 @@ class WeierstrassCurve(_Value):
         g = gcd(num, den)
         return CurvePoint._of(X, dx, num // g, den // g)
 
+    def _fy(self, q: tuple[int, int, int, int]) -> tuple[int, int]:
+        """F_y = 2y + a1 x + a3 at q = (X, dx, Y, dy), the point x = X/dx,
+        y = Y/dy, as (numerator, denominator)."""
+        X, dx, Y, dy = q
+        scale, a1, _, a3, _, _ = self._scaled
+        return 2 * scale * Y * dx + dy * (a1 * X + a3 * dx), scale * dx * dy
+
+    def _fx(self, q: tuple[int, int, int, int]) -> tuple[int, int]:
+        """F_x = a1 y - 3x^2 - 2 a2 x - a4 at q = (X, dx, Y, dy), as
+        (numerator, denominator)."""
+        X, dx, Y, dy = q
+        scale, a1, a2, _, a4, _ = self._scaled
+        num = a1 * Y * dx * dx - dy * (3 * scale * X * X + dx * (2 * a2 * X + a4 * dx))
+        return num, scale * dx * dx * dy
+
     def _slope(self, p: CurvePoint, q: CurvePoint) -> tuple[int, int] | None:
         """The slope of chord_slope as (N, D) in lowest terms with D > 0, or None.
 
         With x = X/dx and y = Y/dy, the chord slope is
         (Y2 dy1 - Y1 dy2) dx1 dx2 / ((X2 dx1 - X1 dx2) dy1 dy2).  The tangent
-        slope (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3), with both terms
-        multiplied by scale dx^2 dy, is a quotient of integers in the scaled
-        coefficients.  Reducing the quotient takes one gcd.
+        slope -F_x / F_y is -fx / (dx fy) in the numerators fx and fy of _fx
+        and _fy, whose denominators differ by the factor dx.  Reducing the
+        quotient takes one gcd.
         """
         X1, dx1, Y1, dy1 = p._c
         X2, dx2, Y2, dy2 = q._c
@@ -247,10 +268,7 @@ class WeierstrassCurve(_Value):
             # same x and a different y: on the curve, q = -p
             return None
         else:
-            scale, a1, a2, a3, a4, _ = self._scaled
-            dxx = dx1 * dx1
-            num = dy1 * (X1 * (3 * scale * X1 + 2 * a2 * dx1) + a4 * dxx) - a1 * Y1 * dxx
-            den = dx1 * (2 * scale * Y1 * dx1 + (a1 * X1 + a3 * dx1) * dy1)
+            num, den = -self._fx(p._c)[0], dx1 * self._fy(p._c)[0]
             if not den:
                 return None
         g = gcd(num, den)
@@ -342,7 +360,7 @@ class ModelMap(_Value):
     __slots__ = _fields = ("u", "r", "s", "t")
 
     def __init__(self, u: Fraction, r: Fraction, s: Fraction, t: Fraction):
-        u, r, s, t = map(Fraction, (u, r, s, t))
+        u, r, s, t = map(_fraction, (u, r, s, t))
         if u == 0:
             raise ValueError("scaling factor u must be nonzero")
         self._set(u, r, s, t)

@@ -294,70 +294,29 @@ class EllFn:
     def translate(self, q: CurvePoint) -> "EllFn":
         """Pullback under the translation P -> P - q.
 
-        The coordinates of P - q come from the chord through (x, y) and -q.
-        Clearing the chord slope's denominator u = x - x0 turns them into
-        numerator pairs over powers of u, so the whole substitution runs on
-        raw polynomials and canonicalizes once at the end.  The powers of u
-        come from one table, each a product of the one below it with u.
+        P - q is P + b with b = -q, by the chord-tangent law (Silverman,
+        AEC, III.2.3) in EllFn arithmetic: with lam = (y - y_b) / (x - x_b),
+
+            x' = lam (lam + a1) - x - a2 - x_b,
+            y' = lam (x - x') - y - a1 x' - a3,
+
+        and the pullback is (A(x') + B(x') y') / D(x'), each polynomial
+        evaluated by Horner's rule.
         """
         c = self.curve
         c._require(q)
         if q.is_infinity:
             return self
-        base = c.negate(q)
-        x0, y0 = base.x, base.y
-        s = _rhs_poly(c)
-        h = _ycoef_poly(c)
-        u = Poly((-x0, 1))
-        powers = [Poly((1,)), u]
+        b = c.negate(q)
+        x, y = EllFn.coordinate_x(c), EllFn.coordinate_y(c)
+        lam = (y - b.y) / (x - b.x)
+        xs = lam * (lam + c.a1) - x - (c.a2 + b.x)
+        ys = lam * (x - xs) - y - (c.a1 * xs + c.a3)
 
-        def u_pow(e):
-            while len(powers) <= e:
-                powers.append(powers[-1] * u)
-            return powers[e]
+        def at_xs(poly):
+            out = EllFn.const(c, 0)
+            for coeff in reversed(poly.coeffs):
+                out = out * xs + coeff
+            return out
 
-        # x(P - q) = (px + qx*y) / u^2; the y-coefficient collapses to a
-        # constant because the a1*x terms cancel.
-        px = s + Poly((y0 * y0,)) - (c.a1 * y0) * u - Poly((c.a2 + x0, 1)) * u_pow(2)
-        qx = Poly((-(2 * y0 + c.a1 * x0 + c.a3),))
-        # y(P - q) = (py + qy*y) / u^3, from yr = -(lam+a1)*xr - (y-lam*x) - a3.
-        w = c.a1 * u - Poly((y0,))
-        x_u2 = Poly((0, 1)) * u_pow(2)
-        py = -(w * px) - qx * s - c.a3 * u_pow(3) - y0 * x_u2
-        qy = -(w * qx + px - qx * h) - u_pow(3) + x_u2
-
-        def pair_mul(p1, q1, p2, q2):
-            return p1 * p2 + q1 * q2 * s, p1 * q2 + p2 * q1 - q1 * q2 * h
-
-        def at_shifted_x(poly):
-            # poly(x(P - q)) as (p, q, e) with denominator u^e, e = 2*deg.
-            if poly.is_zero:
-                return Poly(), Poly(), 0
-            coeffs = list(poly.coeffs)
-            accp, accq, e = Poly((coeffs[-1],)), Poly(), 0
-            for coeff in reversed(coeffs[:-1]):
-                accp, accq = pair_mul(accp, accq, px, qx)
-                e += 2
-                accp = accp + coeff * u_pow(e)
-            return accp, accq, e
-
-        nap, naq, ea = at_shifted_x(self.a)
-        nbp, nbq, eb = at_shifted_x(self.b)
-        if not (nbp.is_zero and nbq.is_zero):
-            nbp, nbq = pair_mul(nbp, nbq, py, qy)
-            eb += 3
-        en = max(ea, eb)
-        ua, ub = u_pow(en - ea), u_pow(en - eb)
-        nump = nap * ua + nbp * ub
-        numq = naq * ua + nbq * ub
-
-        ndp, ndq, ed = at_shifted_x(self.d)
-        # divide by (ndp + ndq*y)/u^ed via the conjugate, whose norm is a
-        # polynomial in x alone
-        nump, numq = pair_mul(nump, numq, ndp - ndq * h, -ndq)
-        norm = ndp * ndp - ndp * ndq * h - ndq * ndq * s
-        if ed >= en:
-            ud = u_pow(ed - en)
-            return EllFn(c, nump * ud, numq * ud, norm)
-        return EllFn(c, nump, numq, norm * u_pow(en - ed))
-
+        return (at_xs(self.a) + at_xs(self.b) * ys) / at_xs(self.d)

@@ -810,3 +810,36 @@ def test_readme_examples_cover_every_command():
     commands = [param.values[0][0] for param in _readme_examples()]
     assert sorted(set(commands)) == ["pairing", "relbr", "torsion"]
     assert any("json" in param.values[0] for param in _readme_examples())
+
+
+def test_readme_library_block_gives_the_values_its_comments_state():
+    # the python block of the Library section, run statement by statement:
+    # where a comment is a Python expression, the statement's value (an
+    # assignment's, its target's) must print as the comment's first operand,
+    # and a comment "v == w" must hold as written; other comments are prose
+    import ast
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.split("\n")
+    namespace, stated = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            if not isinstance(node, ast.Assign):
+                continue
+            value = namespace[node.targets[0].id]
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        try:
+            ast.parse(comment, mode="eval")
+        except SyntaxError:
+            continue
+        shown = comment.split(" == ")[0]
+        assert repr(value) == shown
+        if " == " in comment:
+            assert eval(comment, {"Fraction": F}) is True
+        stated.append(shown)
+    assert stated == ["(5,)", "Fraction(-1, 11)", "Fraction(14641, 1)", "'trivial'"]

@@ -9,7 +9,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from relbrauer import CurvePoint, INFINITY, RationalCocycle, WeierstrassCurve
+from relbrauer import (
+    CurvePoint,
+    INFINITY,
+    RationalCocycle,
+    WeierstrassCurve,
+    cocycle_function,
+    line_function,
+)
 from relbrauer.exact import Poly
 from relbrauer.funcfield import (
     INDETERMINATE,
@@ -18,7 +25,7 @@ from relbrauer.funcfield import (
     EllFn,
 )
 
-from oracles import has_pole_at, pairing_scalar_by_chain, vanishes_at
+from oracles import has_pole_at, pairing_scalar_by_chain, seeded_models, vanishes_at
 
 
 @pytest.fixture
@@ -195,14 +202,50 @@ def test_translate_is_a_field_homomorphism(order5_curve, order5_gen, xy):
     assert (f + g).translate(q) == f.translate(q) + g.translate(q)
 
 
+def test_translate_on_general_models():
+    # seeded models with rational a1 ... a6, a1 and a3 nonzero: the pullback
+    # of a line and of a cocycle function by P -> P - q takes at p the value
+    # the function takes at p - q, a pole included, and translating back by
+    # -q gives the function again; q runs over the points of order 2 and one
+    # other point of each model
+    rng = random.Random(25)
+    checked = {"general": 0, "order 2": 0, "poles": 0}
+    for curve, points in seeded_models():
+        affine = [p for p in points if not p.is_infinity]
+        halves = [p for p in affine if curve.negate(p) == p]
+        shifts = halves + [rng.choice(affine)]
+        funcs = [
+            line_function(curve, rng.choice(affine), rng.choice(affine)),
+            cocycle_function(curve, rng.choice(affine), rng.choice(affine)),
+        ]
+        for f in funcs:
+            for q in shifts:
+                g = f.translate(q)
+                for p in points:
+                    value = g.evaluate(p)
+                    expected = f.evaluate(curve.add(p, curve.negate(q)))
+                    assert INDETERMINATE not in (value, expected)
+                    if POLE in (value, expected):
+                        assert value is expected
+                        checked["poles"] += 1
+                    else:
+                        assert value == expected
+                assert g.translate(curve.negate(q)) == f
+        if curve.a1 and curve.a3:
+            checked["general"] += 1
+        checked["order 2"] += len(halves)
+    assert checked["general"] >= 40 and checked["order 2"] >= 30 and checked["poles"] >= 100
+
+
 @pytest.mark.parametrize(
     "p, b",
     [((21, 79), F(1, 466560000)), ((-9, 49), F(1, 24603750)), ((9, 31), F(1, 114791256))],
 )
-def test_translate_takes_powers_of_u_from_its_table(monkeypatch, p, b):
-    # 90c3 with t of order 12: every power of u comes from the table, and b
-    # is the value the chain of translates gave when translate raised u to
-    # each power
+def test_translate_raises_no_polynomial_to_a_power(monkeypatch, p, b):
+    # 90c3 with t of order 12: translate substitutes the chord-tangent
+    # coordinates of P - q by Horner's rule, so no Poly is raised to a power,
+    # and b is the value the chain of translates gave when translate raised
+    # x - x(-q) to each power
     def no_pow(self, n):
         raise AssertionError("Poly.__pow__ called")
 
