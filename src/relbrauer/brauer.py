@@ -434,11 +434,13 @@ class CyclicAlgebraClass(_Value):
     but a composite key is not detected, since a primality test would
     cost one per prime of b on every pairing (brauer_pairing passes the
     primes factor returns).  primes holds the primes dividing b_raw,
-    ascending, and the local symbols reuse them.  Neither b_normalized
-    nor primes is compared.
+    ascending, and the local symbols reuse them.  _invariants keeps the
+    class's own places and its local invariants there once class_status
+    or quaternion_group_invariants has computed them.  None of
+    b_normalized, primes and _invariants is compared.
     """
 
-    __slots__ = ("m", "ext", "b_raw", "b_normalized", "primes")
+    __slots__ = ("m", "ext", "b_raw", "b_normalized", "primes", "_invariants")
     _fields = __slots__[:3]
 
     def __init__(
@@ -467,7 +469,7 @@ class CyclicAlgebraClass(_Value):
             if num != abs(b_raw.numerator) or den != b_raw.denominator:
                 raise ValueError("exponents do not multiply back to b_raw")
         b_normalized = mth_power_free_part(b_raw, m, exponents)
-        self._set(m, ext, b_raw, b_normalized, tuple(sorted(exponents)))
+        self._set(m, ext, b_raw, b_normalized, tuple(sorted(exponents)), None)
 
 
 def class_places(ext, b_primes) -> list:
@@ -503,6 +505,17 @@ def local_symbols(alg: CyclicAlgebraClass, places) -> list[int]:
 def local_invariants(alg: CyclicAlgebraClass, places) -> list[int]:
     """The local invariants of the class in Z/m: inv_v = k with a_v in sigma^k H."""
     return [alg.ext.coset_index(a) for a in local_symbols(alg, places)]
+
+
+def _own_invariants(alg: CyclicAlgebraClass) -> tuple[list, list[int]]:
+    """The class's own places, class_places(ext, alg.primes), and its local
+    invariants there: computed on first use and kept on the class."""
+    found = alg._invariants
+    if found is None:
+        places = class_places(alg.ext, alg.primes)
+        found = (places, local_invariants(alg, places))
+        object.__setattr__(alg, "_invariants", found)
+    return found
 
 
 TRIVIAL = "trivial"
@@ -548,14 +561,13 @@ def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
     - Cyclotomic: the least failing prime not dividing N if there is one,
       otherwise the least failing prime dividing N.
     """
-    ext = alg.ext
-    places = class_places(ext, alg.primes)
+    places, invariants = _own_invariants(alg)
     failing = [
-        place for place, k in zip(places, local_invariants(alg, places))
-        if k and place != INFINITE_PLACE
+        place for place, k in zip(places, invariants) if k and place != INFINITE_PLACE
     ]
     if not failing:
         return ClassStatus.trivial()
+    ext = alg.ext
     if isinstance(ext, Cyclotomic):
         failing = [p for p in failing if ext.conductor % p] or failing
     return ClassStatus.nontrivial(failing[0])
@@ -618,7 +630,11 @@ def quaternion_group_invariants(algs) -> tuple[int, ...]:
     quaternion (m = 2) case.  Each class is encoded as its vector of local
     invariants in Z/m over the places where any of them can ramify; a class
     is fixed by that vector, so the group is the span of the vectors in
-    (Z/m)^places.  For m = 2 that is (Z/2)^r, r copies of 2.
+    (Z/m)^places.  For m = 2 that is (Z/2)^r, r copies of 2.  A place
+    outside a class's own places is a prime p that divides neither N nor
+    b, where the symbol is p^0 = 1 and the invariant 0, so each class's
+    own invariants, which class_status has already computed, are padded
+    with zeros.
     """
     algs = list(algs)
     if not algs:
@@ -628,7 +644,11 @@ def quaternion_group_invariants(algs) -> tuple[int, ...]:
         raise ValueError("classes live over different extensions")
     ext = exts.pop()
     places = class_places(ext, set().union(*(alg.primes for alg in algs)))
-    return _span_invariants([local_invariants(alg, places) for alg in algs], ext.degree)
+    rows = []
+    for alg in algs:
+        own = dict(zip(*_own_invariants(alg)))
+        rows.append([own.get(place, 0) for place in places])
+    return _span_invariants(rows, ext.degree)
 
 
 class BrauerEntry(_Value):

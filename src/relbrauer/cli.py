@@ -207,8 +207,17 @@ def _curve_json(c: WeierstrassCurve) -> dict:
 def _algebra_json(point: CurvePoint, algebra, status, order=None) -> dict:
     entry = {"point": _point_json(point)}
     entry["order"] = order
-    entry["b_raw"] = _rat_str(algebra.b_raw)
-    entry["b_normalized"] = _rat_str(algebra.b_normalized)
+    try:
+        entry["b_raw"] = _rat_str(algebra.b_raw)
+        entry["b_normalized"] = _rat_str(algebra.b_normalized)
+    except ValueError:
+        # str(int) refuses more digits than sys.get_int_max_str_digits()
+        scalar = "b_normalized" if "b_raw" in entry else "b_raw"
+        raise ValueError(
+            f"report of the class of point {_point_text(entry['point'])}: {scalar} has a "
+            f"numerator or denominator of more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of sys.get_int_max_str_digits() on integer strings"
+        ) from None
     entry["status"] = status.kind
     if status.witness is not None:
         entry["witness"] = status.witness

@@ -14,7 +14,9 @@ because every other module imports this one.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import gcd, isqrt
 from operator import attrgetter
@@ -28,10 +30,15 @@ RHO_ITERATION_CAP = 10**6
 
 # Miller-Rabin to the first 13 prime bases is deterministic below psi_13 =
 # 3317044064679887385961981 and probabilistic from there on (psi_13 itself
-# passes all 13; base 43 catches it).  The first 12 bases let psi_12 =
-# 318665857834031151167461 = 399165290221 * 798330580441 through (Sorenson
-# and Webster, Math. Comp. 86, 2017).
+# passes all 13; base 43 catches it).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k for k = 1 ... 12, the least strong pseudoprime to the first k prime
+# bases: those k bases decide every n < psi_k (OEIS A014233; Jaeschke 1993;
+# Sorenson and Webster, Math. Comp. 86, 2017).  psi_12 =
+# 399165290221 * 798330580441 passes the bases 2 ... 37, and 41 splits it.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+        318665857834031151167461)
 
 
 class _Value:
@@ -93,6 +100,9 @@ class FactoringLimitExceeded(Exception):
 
 
 def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin after trial division by its 13 bases, to the first k
+    bases for psi_(k-1) <= n < psi_k (psi_0 = 0) and to all 13 from psi_12
+    on: exact below psi_13, probabilistic above."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -103,7 +113,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -192,21 +202,25 @@ def _perfect_power(v: int, floor: int) -> tuple[int, int]:
 def _split_with_rho(m: int, floor: int, cap: int, out: dict[int, int], n: int) -> None:
     """Add the primes of m, all at or above floor, to out, splitting by rho.
 
-    A composite that is a perfect k-th power r**k goes back as r with its
-    exponent times k, so p**6 becomes p**3 and then p, and rho only meets
-    composites that are not powers.
+    A piece below floor**2 is prime with no test, since every prime in it
+    is at least floor; a larger one goes to Miller-Rabin.  A composite that
+    is a perfect k-th power r**k goes back as r with its exponent times k,
+    so p**6 becomes p**3 and then p, and rho only meets composites that are
+    not powers; its generator, seeded with m, is built on rho's first run.
     """
-    rng = random.Random(m)
+    certified, rng = floor * floor, None
     stack = [(m, 1)]
     while stack:
         v, e = stack.pop()
-        if is_probable_prime(v):
+        if v < certified or is_probable_prime(v):
             out[v] = out.get(v, 0) + e
             continue
         r, k = _perfect_power(v, floor)
         if k > 1:
             stack.append((r, e * k))
             continue
+        if rng is None:
+            rng = random.Random(m)
         d = _pollard_rho_brent(v, cap, rng)
         if d is None:
             raise FactoringLimitExceeded(
@@ -216,19 +230,33 @@ def _split_with_rho(m: int, floor: int, cap: int, out: dict[int, int], n: int) -
         stack.append((v // d, e))
 
 
+@cache
+def _trial_product(bound: int) -> int:
+    """The product of the primes from 5 up to bound: the odd d prime to 3
+    and to every prime below d."""
+    q = 3
+    for d in range(5, bound + 1, 2):
+        if gcd(d, q) == 1:
+            q *= d
+    return q // 3
+
+
 def factor(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as (sign, {prime: exponent}), in one pass.
 
-    sign * prod(p**e) == n.  After 2 and 3, trial division runs over the
-    candidates 6k +- 1 up to TRIAL_DIVISION_BOUND (10**3), stopping once
-    the cofactor is 1, probably prime, or below the square of the next
-    candidate.  A composite cofactor goes to Pollard rho, capped at
-    RHO_ITERATION_CAP (10**6) iterations per split.  Before rho, a
-    composite that is a perfect k-th power (k prime) is replaced by its
-    integer k-th root with its exponent times k, so rho splits only
-    composites that are not powers.  A refusal costs one capped rho run
-    after the splits that succeeded: FactoringLimitExceeded names n and
-    the cofactor that resisted; when that cofactor is a perfect power,
+    sign * prod(p**e) == n.  After 2 and 3, one gcd g of the cofactor with
+    the product of the primes from 5 up to TRIAL_DIVISION_BOUND (10**3)
+    holds its primes up to the bound, and trial division walks the
+    candidates 6k +- 1 only while g holds one; once d**2 > g, g is itself
+    the last of them and is taken at once.  Every prime left is above the
+    bound, and _split_with_rho takes the rest: a piece below (bound + 1)**2
+    is prime with no test, a larger one gets Miller-Rabin, and a composite
+    goes to Pollard rho, capped at RHO_ITERATION_CAP (10**6) iterations per
+    split.  Before rho, a composite that is a perfect k-th power (k prime)
+    is replaced by its integer k-th root with its exponent times k, so rho
+    splits only composites that are not powers.  A refusal costs one capped
+    rho run after the splits that succeeded: FactoringLimitExceeded names n
+    and the cofactor that resisted; when that cofactor is a perfect power,
     the error names its root, the composite rho was given.
     """
     if n == 0:
@@ -240,28 +268,22 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-    if is_probable_prime(m):
-        out[m] = 1
-        m = 1
-    bound, d, step = TRIAL_DIVISION_BOUND, 5, 2
-    while d <= bound and d * d <= m:
-        if m % d == 0:
+    bound = TRIAL_DIVISION_BOUND
+    g, d, step = gcd(m, _trial_product(bound)), 5, 2
+    while g > 1:
+        if d * d > g:
+            d = g
+        if g % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             out[d] = e
-            if is_probable_prime(m):
-                out[m] = 1
-                m = 1
+            g //= d
         d += step
         step = 6 - step
     if m > 1:
-        if d * d > m:
-            # trial division certified m prime
-            out[m] = 1
-        else:
-            _split_with_rho(m, d, RHO_ITERATION_CAP, out, n)
+        _split_with_rho(m, bound + 1, RHO_ITERATION_CAP, out, n)
     return sign, out
 
 

@@ -9,7 +9,9 @@ Fraction arithmetic, the rational torsion subgroup by the Nagell-Lutz
 search over the y with y^2 dividing the discriminant, the cyclotomic
 descriptor by a breadth-first closure with a closure check and a gcd per
 member and by a walk of H by cosets, and m-th powers of rationals by
-integer Newton roots.  seeded_models gives the curves and points the
+integer Newton roots, and integers by the factoring and primality routes
+the package took before trial division was screened by a gcd and
+Miller-Rabin took its bases by size.  seeded_models gives the curves and points the
 Fraction oracles are compared on.
 """
 
@@ -34,7 +36,8 @@ from relbrauer.curve import (
     WeierstrassCurve,
     to_short_integral,
 )
-from relbrauer.exact import factor
+import relbrauer.exact as exact
+from relbrauer.exact import FactoringLimitExceeded, factor
 from relbrauer.torsion import _presentation
 
 
@@ -508,3 +511,89 @@ def is_mth_power(r, m):
     if m % 2 == 0 and r < 0:
         return False
     return _is_integer_mth_power(abs(r.numerator), m) and _is_integer_mth_power(r.denominator, m)
+
+
+_THIRTEEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_probable_prime_by_13_bases(n):
+    """Miller-Rabin to all 13 prime bases 2 ... 41 for every n, after trial
+    division by them: exact below psi_13, probabilistic above."""
+    if n < 2:
+        return False
+    for p in _THIRTEEN_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _THIRTEEN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factor_by_trial_walk(n):
+    """factor(n) by a walk of every trial candidate 6k +- 1 up to the bound,
+    with Miller-Rabin on the cofactor up front and after each prime found,
+    and on every piece rho leaves; same rho, seed, caps and messages."""
+    if n == 0:
+        raise ValueError("0 has no factorization")
+    sign = -1 if n < 0 else 1
+    m = abs(n)
+    out = {}
+    for p in (2, 3):
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    if is_probable_prime_by_13_bases(m):
+        out[m] = 1
+        m = 1
+    bound, d, step = exact.TRIAL_DIVISION_BOUND, 5, 2
+    while d <= bound and d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out[d] = e
+            if is_probable_prime_by_13_bases(m):
+                out[m] = 1
+                m = 1
+        d += step
+        step = 6 - step
+    if m > 1:
+        if d * d > m:
+            out[m] = 1
+        else:
+            _split_by_rho(m, d, exact.RHO_ITERATION_CAP, out, n)
+    return sign, out
+
+
+def _split_by_rho(m, floor, cap, out, n):
+    rng = random.Random(m)
+    stack = [(m, 1)]
+    while stack:
+        v, e = stack.pop()
+        if is_probable_prime_by_13_bases(v):
+            out[v] = out.get(v, 0) + e
+            continue
+        r, k = exact._perfect_power(v, floor)
+        if k > 1:
+            stack.append((r, e * k))
+            continue
+        d = exact._pollard_rho_brent(v, cap, rng)
+        if d is None:
+            raise FactoringLimitExceeded(
+                f"factoring {n}: composite cofactor {v} resisted {cap} rho iterations"
+            )
+        stack.append((d, e))
+        stack.append((v // d, e))

@@ -801,3 +801,25 @@ def test_group_invariants_above_m_2():
     assert quaternion_group_invariants([alg(F(16))]) == ()
     with pytest.raises(ValueError):
         quaternion_group_invariants([first, CyclicAlgebraClass(2, Quadratic(-1), F(3))])
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_group_invariants_equal_those_over_the_union_of_places(m):
+    # the group step pads each class's own invariants with zeros; recompute
+    # every class over the union of the places instead, on fresh classes
+    # and on classes whose own invariants class_status has already kept
+    rng = random.Random(200 + m)
+    fields = _random_cyclotomic_fields(rng, 4, degrees=(m,), bound=300)
+    if m == 2:
+        fields += [Quadratic(d) for d in (-1, 2, -3, 5, 6, -15, 33)]
+    for ext in fields:
+        for _ in range(4):
+            scalars = [_random_scalar(rng) for _ in range(rng.randrange(1, 5))]
+            algs = [CyclicAlgebraClass(m, ext, b) for b in scalars]
+            places = class_places(ext, set().union(*(alg.primes for alg in algs)))
+            expected = _span_invariants([local_invariants(alg, places) for alg in algs], m)
+            assert quaternion_group_invariants(algs) == expected, (ext, scalars)
+            again = [CyclicAlgebraClass(m, ext, b) for b in scalars]
+            for alg in again:
+                class_status(alg)
+            assert quaternion_group_invariants(again) == expected, (ext, scalars)

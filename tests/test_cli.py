@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -268,6 +268,74 @@ def test_pairing_over_a_field_whose_discriminant_is_psi12(capsys):
     )
     assert code == 0
     assert "  status: nontrivial (witness prime 399165290221)\n" in capsys.readouterr().out
+
+
+@contextmanager
+def _digit_limit(limit):
+    """A context in which str(int) refuses more than limit digits."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer strings"
+)
+_LARGE_M = {
+    # b_normalized has 4,166 digits; b_raw is 1/(a 1,042-digit integer)
+    5000: ["--m", "5000", "--ext", "cyclo:55001:42635"],
+    # b_raw is 1/(a 10,414-digit integer)
+    50000: ["--m", "50000", "--ext", "cyclo:150001:35056"],
+}
+
+
+def _large_m_argv(command, m, output):
+    gens = ["--p", "5,5"] if command == "pairing" else ["--gens", "5,5"]
+    return [command, "--curve", "0 -1 1 -10 -20", "--t", "5,5", *gens, *_LARGE_M[m],
+            "--output", output]
+
+
+@_NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("command", ["pairing", "relbr"])
+def test_scalar_above_the_digit_limit_names_the_report_and_the_point(capsys, command, output):
+    with _digit_limit(4300):
+        assert main(_large_m_argv(command, 50000, output)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: report of the class of point (5, 5): b_raw has a numerator or denominator"
+        " of more than 4300 digits, the limit of sys.get_int_max_str_digits() on integer"
+        " strings\n"
+    )
+
+
+@_NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_scalar_at_the_digit_limit_prints_and_one_below_refuses(capsys, output):
+    argv = _large_m_argv("pairing", 5000, output)
+    with _digit_limit(4166):
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if output == "json":
+        (entry,) = json.loads(out)["results"]
+    else:
+        assert len(out) == 5398
+        entry = dict(line.strip().split(": ") for line in out.splitlines()[3:6])
+    assert len(entry["b_normalized"]) == 4166
+    assert entry["b_raw"].startswith("1/") and len(entry["b_raw"]) == 2 + 1042
+    with _digit_limit(4165):
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "error: report of the class of point (5, 5): b_normalized has a numerator or"
+        " denominator of more than 4165 digits"
+    )
 
 
 @pytest.mark.parametrize("m", [3000, 10000])

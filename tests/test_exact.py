@@ -21,13 +21,25 @@ from relbrauer.exact import (
     split_prime_power,
 )
 
-from oracles import _is_integer_mth_power, is_mth_power
+from oracles import (
+    _is_integer_mth_power,
+    factor_by_trial_walk,
+    is_mth_power,
+    is_probable_prime_by_13_bases,
+)
 
 M61 = 2**61 - 1
 M89 = 2**89 - 1
 M127 = 2**127 - 1
-# the least strong pseudoprime to the first 12 prime bases (Sorenson-Webster)
-PSI12 = 318665857834031151167461
+# psi_k, the least strong pseudoprime to the first k prime bases, k = 1 ... 13
+# (OEIS A014233; Jaeschke 1993; Sorenson and Webster, Math. Comp. 86, 2017)
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+PSI12 = PSI[11]
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 DECIDE_M2 = Path(__file__).resolve().parents[1] / "bench" / "reference" / "decide_m2.json"
 
 
@@ -281,6 +293,123 @@ def test_rho_receives_no_perfect_power_on_the_large_n_squares(monkeypatch):
     # each square root is a product of two primes above 10**6: one rho split
     assert len(received) == len(squares)
     assert not any(_is_perfect_power(v) for v in received)
+
+
+def _same_factorization(n):
+    """factor(n) equals the trial-walk oracle, dict order included."""
+    got, expected = factor(n), factor_by_trial_walk(n)
+    assert got == expected and list(got[1]) == list(expected[1]), n
+
+
+def test_factor_matches_the_trial_walk_on_a_seeded_sample():
+    rng = random.Random(2601)
+    for _ in range(1500):
+        n = rng.randrange(1, 2 ** rng.randrange(2, 71))
+        _same_factorization(rng.choice((1, -1)) * n)
+
+
+def test_factor_matches_the_trial_walk_on_structured_cases():
+    above = [p for p in range(1001**2, 1001**2 + 400) if is_probable_prime_by_13_bases(p)]
+    assert len(above) > 20
+    cases = [997 * 1009, 1009 * 1013, 1009**2, 1009**3 * 1013, 997**2 * 1019971]
+    cases += above + [above[0] * above[1], 5 * 997 * above[-1], 7**3 * above[0] ** 2]
+    for n in cases:
+        _same_factorization(n)
+    assert factor(997**2 * 1019971) == (1, {997: 2, 1019971: 1})
+    assert factor(1009**3 * 1013) == (1, {1009: 3, 1013: 1})
+
+
+def test_factor_refuses_m61_m89_as_the_trial_walk_does(monkeypatch):
+    _limit(monkeypatch, 10**3, 200)
+    messages = []
+    for route in (factor, factor_by_trial_walk):
+        with pytest.raises(FactoringLimitExceeded) as excinfo:
+            route(7 * M61 * M89)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] == (
+        f"factoring {7 * M61 * M89}: composite cofactor {M61 * M89} resisted 200 rho iterations"
+    )
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(r))
+
+
+def _prime_below(n):
+    n -= 1
+    while not is_probable_prime_by_13_bases(n):
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_probable_prime_at_each_psi(k):
+    psi = PSI[k - 1]
+    # psi_k is composite and passes the first k bases, so those do not decide it
+    assert all(_strong_probable_prime(psi, a) for a in BASES[:k])
+    if k < 13:
+        assert not is_probable_prime(psi)
+    else:
+        # from psi_13 on the test is probabilistic: psi_13 passes all 13
+        # bases, as at every size, and only base 43 catches it
+        assert is_probable_prime(psi) and is_probable_prime_by_13_bases(psi)
+        assert not _strong_probable_prime(psi, 43)
+    assert is_probable_prime(_prime_below(psi))
+
+
+def test_is_probable_prime_on_pseudoprimes_to_base_2_and_carmichael_numbers():
+    strong_to_2 = (2047, 3277, 4033, 4681, 8321)
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911)
+    assert all(_strong_probable_prime(n, 2) for n in strong_to_2)
+    for n in strong_to_2 + carmichael:
+        assert not is_probable_prime(n), n
+
+
+def test_is_probable_prime_agrees_with_13_bases_on_seeded_odd_n():
+    rng = random.Random(2602)
+    primes = 0
+    for _ in range(10**5):
+        n = rng.randrange(1, 2 ** rng.randrange(2, 65)) | 1
+        answer = is_probable_prime(n)
+        assert answer is is_probable_prime_by_13_bases(n), n
+        primes += answer
+    assert primes > 5000
+
+
+def test_factor_spends_no_primality_test_that_earlier_work_decided(monkeypatch):
+    import oracles
+    import relbrauer.exact as exact
+
+    calls = []
+
+    def counting(test):
+        def wrapper(n):
+            calls.append(n)
+            return test(n)
+
+        return wrapper
+
+    monkeypatch.setattr(exact, "is_probable_prime", counting(exact.is_probable_prime))
+    monkeypatch.setattr(
+        oracles, "is_probable_prime_by_13_bases", counting(is_probable_prime_by_13_bases)
+    )
+    counts = {}
+    for n in (997 * 1009, 1000003 * 1019971):
+        for route in (factor, factor_by_trial_walk):
+            calls.clear()
+            route(n)
+            counts[route, n] = len(calls)
+    # the gcd screen leaves 1009, below 1001**2, which needs no test
+    assert counts[factor_by_trial_walk, 997 * 1009] == 2
+    assert counts[factor, 997 * 1009] == 0
+    # no test up front; 1000003 < 1001**2 < 1019971 after rho's split
+    assert counts[factor_by_trial_walk, 1000003 * 1019971] == 7
+    assert counts[factor, 1000003 * 1019971] < 7
 
 
 def test_split_prime_power_matches_repeated_division():

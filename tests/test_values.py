@@ -207,11 +207,13 @@ def test_copy_and_pickle_round_trip(name):
         (lambda: Cyclotomic(11, (1, 10)), "sigma", 3),
         (_alg, "primes", (3, 7)),
         (_alg, "b_normalized", F(3)),
+        (_alg, "_invariants", (["infinity", 2], [0, 1])),
         (_e1, "_scaled", (9, 9, 9, 9, 9, 9)),
         (lambda: RationalCocycle(_e1(), 5, _t()), "_cycle", (_t(),)),
     ],
     ids=["Quadratic.primes", "Cyclotomic.degree", "Cyclotomic.primes", "Cyclotomic.sigma",
          "CyclicAlgebraClass.primes", "CyclicAlgebraClass.b_normalized",
+         "CyclicAlgebraClass._invariants",
          "WeierstrassCurve._scaled", "RationalCocycle._cycle"],
 )
 def test_non_compared_fields_stay_out_of_eq_hash_and_repr(make, field, junk):
