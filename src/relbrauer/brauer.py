@@ -19,6 +19,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .curve import CurvePoint
 from .exact import (
+    _jacobi,
     _Value,
     factor,
     is_probable_prime,
@@ -33,22 +34,6 @@ INFINITE_PLACE = "infinity"
 # isqrt(q^e - 1) + 1 entries for prime powers q^e dividing phi(N), each below
 # 5 * 10^6 at this bound, so its conductor is bounded; Quadratic takes any d
 CONDUCTOR_BOUND = 10**7
-
-
-def _jacobi(a: int, n: int) -> int:
-    # n odd and positive
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def kronecker_symbol(a: int, n: int) -> int:

@@ -25,6 +25,7 @@ from .curve import (
     SingularCurve,
     WeierstrassCurve,
     equation_text,
+    rational_text,
 )
 from .exact import FactoringLimitExceeded, _Value
 from .torsion import torsion_subgroup
@@ -64,19 +65,6 @@ def _rational_parts(token: str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _rational(token: str) -> Fraction:
-    """Fraction(token), with the integer shortcut of _rational_parts."""
-    num, den = _rational_parts(token)
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
-def _rational_token(token: str, position: int) -> Fraction:
-    try:
-        return _rational(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"invalid rational literal {token!r}", position=position) from None
-
-
 def parse_curve(text: str) -> WeierstrassCurve:
     """Curve literal: five coefficients 'a1 a2 a3 a4 a6', or '[A,B]' for
     the short model y^2 = x^3 + A*x + B."""
@@ -87,16 +75,21 @@ def parse_curve(text: str) -> WeierstrassCurve:
         parts = s[1:-1].split(",")
         if len(parts) != 2:
             raise ParseError("short curve literal takes exactly two entries '[A,B]'", position=1)
-        a4 = _rational_token(parts[0].strip(), 1)
-        a6 = _rational_token(parts[1].strip(), 2 + len(parts[0]))
-        return WeierstrassCurve(0, 0, 0, a4, a6)
-    tokens = list(re.finditer(r"[^\s,]+", s))
-    if len(tokens) != 5:
-        raise ParseError(
-            f"expected five coefficients 'a1 a2 a3 a4 a6', got {len(tokens)}", position=0
-        )
-    coeffs = [_rational_token(tok.group(), tok.start()) for tok in tokens]
-    return WeierstrassCurve(*coeffs)
+        tokens = [("0", 0)] * 3 + [(parts[0].strip(), 1), (parts[1].strip(), 2 + len(parts[0]))]
+    else:
+        found = list(re.finditer(r"[^\s,]+", s))
+        if len(found) != 5:
+            raise ParseError(
+                f"expected five coefficients 'a1 a2 a3 a4 a6', got {len(found)}", position=0
+            )
+        tokens = [(tok.group(), tok.start()) for tok in found]
+    integers = []
+    for token, position in tokens:
+        try:
+            integers += _rational_parts(token)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"invalid rational literal {token!r}", position=position) from None
+    return WeierstrassCurve.from_integers(*integers)
 
 
 def _try_affine(text: str) -> CurvePoint | None:
@@ -183,24 +176,21 @@ class JobSpec(_Value):
         self._set(command, curve, output, t, m, p, ext, gens_auto, gens)
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _point_json(p: CurvePoint):
     if p.is_infinity:
         return "O"
     X, dx, Y, dy = p.integers
-    return [str(X) if dx == 1 else f"{X}/{dx}", str(Y) if dy == 1 else f"{Y}/{dy}"]
+    return [rational_text(X, dx), rational_text(Y, dy)]
 
 
 def _curve_json(c: WeierstrassCurve) -> dict:
+    n1, d1, n2, d2, n3, d3, n4, d4, n6, d6 = c.integers
     return {
-        "a1": _rat_str(c.a1),
-        "a2": _rat_str(c.a2),
-        "a3": _rat_str(c.a3),
-        "a4": _rat_str(c.a4),
-        "a6": _rat_str(c.a6),
+        "a1": rational_text(n1, d1),
+        "a2": rational_text(n2, d2),
+        "a3": rational_text(n3, d3),
+        "a4": rational_text(n4, d4),
+        "a6": rational_text(n6, d6),
     }
 
 
@@ -208,8 +198,8 @@ def _algebra_json(point: CurvePoint, algebra, status, order=None) -> dict:
     entry = {"point": _point_json(point)}
     entry["order"] = order
     try:
-        entry["b_raw"] = _rat_str(algebra.b_raw)
-        entry["b_normalized"] = _rat_str(algebra.b_normalized)
+        entry["b_raw"] = str(algebra.b_raw)
+        entry["b_normalized"] = str(algebra.b_normalized)
     except ValueError:
         # str(int) refuses more digits than sys.get_int_max_str_digits()
         scalar = "b_normalized" if "b_raw" in entry else "b_raw"
@@ -303,6 +293,35 @@ def _run_relbr(job: JobSpec) -> dict:
         "order_bound": presentation.order_bound,
         "group_structure": list(presentation.group_invariants),
     }
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def render_json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the values a report
+    holds: dicts with str keys, lists, str, int and None.  Strings go
+    through json's C escaper; the indent would send json.dumps to its
+    pure-Python encoder."""
+    kind = value.__class__
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if not value and (kind is dict or kind is list):
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if kind is dict:
+        items = [f"{_escape(key)}: {render_json(item, inner)}" for key, item in value.items()]
+        opening, closing = "{", "}"
+    elif kind is list:
+        items = [render_json(item, inner) for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _point_text(value) -> str:
@@ -485,7 +504,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if job.output == "json":
-        print(json.dumps(report, indent=2))
+        print(render_json(report))
     else:
         print(render_text(report))
     return 0

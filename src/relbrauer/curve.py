@@ -2,16 +2,17 @@
 
 Full five-coefficient models y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6,
 the chord-tangent group law, point orders, and admissible changes of
-variables down to a short integral model.  A point holds its coordinates as
-integers, x = X/dx and y = Y/dy in lowest terms, and builds the Fractions x
-and y only when they are asked for.  The group law, the membership test and
-the pull back from the short model run on those integers and on the
-coefficients scaled to integers (WeierstrassCurve._scaled); each coordinate
-of a sum is reduced by one gcd.  The invariants run on the weighted integral
-model L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6, with L the common denominator:
-its discriminant decides singularity, and its c4 and c6 give the short
-integral model in one step (Silverman, AEC, III.1; Cremona, Algorithms for
-Modular Elliptic Curves, 3.1).
+variables down to a short integral model.  Points, curves and model maps
+hold integers: a point x = X/dx and y = Y/dy in lowest terms, a curve its
+coefficients scaled to integers (WeierstrassCurve._scaled), a map the
+numerators and denominators of u, r, s and t.  Each builds its Fractions
+(x and y, a1 ... a6, u ... t) only when they are asked for.  The group law,
+the membership test, the short model and the pull back from it run on those
+integers; each coordinate of a sum is reduced by one gcd.  The invariants
+run on the weighted integral model L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6,
+with L the common denominator: its discriminant decides singularity, and
+its c4 and c6 give the short integral model in one step (Silverman, AEC,
+III.1; Cremona, Algorithms for Modular Elliptic Curves, 3.1).
 """
 
 from __future__ import annotations
@@ -131,10 +132,23 @@ INFINITY = CurvePoint()
 ORDER_BOUND = 12
 
 
-def _fraction(a) -> Fraction:
-    """a itself when it is a Fraction, else Fraction(a): Fraction of a
-    Fraction rebuilds it through the slow numbers.Rational check."""
-    return a if a.__class__ is Fraction else Fraction(a)
+def rational_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for num/den in lowest terms with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _fraction_field(i: int, doc: str) -> property:
+    """The i-th of the Fractions that _fractions() builds from a value's
+    integers, on the first read of any of them, and keeps in the slot _f."""
+
+    def get(self) -> Fraction:
+        try:
+            return self._f[i]
+        except AttributeError:
+            object.__setattr__(self, "_f", self._fractions())
+            return self._f[i]
+
+    return property(get, doc=doc)
 
 
 def equation_text(a1: str, a2: str, a3: str, a4: str, a6: str) -> str:
@@ -171,26 +185,77 @@ class WeierstrassCurve(_Value):
     """A Weierstrass model over Q.
 
     _scaled holds (L, L*a1, L*a2, L*a3, L*a4, L*a6) as integers, with L the
-    least common denominator of the coefficients, for is_on_curve, add and
-    chord_slope, which compute on it and on the coordinates' numerators and
-    denominators.  Weighting a_i by L^i instead gives the integral model
-    L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6 (the change of variables with
-    u = 1/L); its b-invariants are L^2*b2, L^4*b4, L^6*b6, L^8*b8, and _disc
-    holds its discriminant, the integer L^12 * discriminant().  Neither slot
-    is compared.
+    least common denominator of the coefficients, so that the gcd of the six
+    is 1; is_on_curve, add and chord_slope compute on it and on the
+    coordinates' numerators and denominators.  Weighting a_i by L^i instead
+    gives the integral model L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6 (the change
+    of variables with u = 1/L); its b-invariants are L^2*b2, L^4*b4, L^6*b6,
+    L^8*b8, and _disc holds its discriminant, the integer L^12 *
+    discriminant().  Neither slot is compared.
+
+    The constructor takes the coefficients as Fractions and keeps them;
+    from_integers takes numerators and denominators and builds no Fraction.
+    The properties a1 ... a6 are Fractions, built from _scaled on first
+    access when the constructor was not given them, and equality, the hash
+    and the repr read them.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_scaled", "_disc")
-    _fields = __slots__[:5]
+    __slots__ = ("_f", "_scaled", "_disc")
+    _fields = ("a1", "a2", "a3", "a4", "a6")
 
     def __init__(self, a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fraction):
-        coeffs = tuple(map(_fraction, (a1, a2, a3, a4, a6)))
+        coeffs = tuple(map(Fraction, (a1, a2, a3, a4, a6)))
         scale = lcm(*(a.denominator for a in coeffs))
-        scaled = (scale, *(a.numerator * (scale // a.denominator) for a in coeffs))
+        object.__setattr__(self, "_f", coeffs)
+        self._fill((scale, *(a.numerator * (scale // a.denominator) for a in coeffs)))
+
+    @staticmethod
+    def from_integers(
+        n1: int, d1: int, n2: int, d2: int, n3: int, d3: int, n4: int, d4: int, n6: int, d6: int
+    ) -> "WeierstrassCurve":
+        """The model with a_i = n_i/d_i, for integers with every d_i nonzero
+        and in any form, built with no Fraction; a singular model raises
+        SingularCurve, as the constructor does."""
+        if not (d1 and d2 and d3 and d4 and d6):
+            raise ZeroDivisionError("a coefficient has denominator 0")
+        scale = lcm(d1, d2, d3, d4, d6)
+        scaled = (scale, n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3),
+                  n4 * (scale // d4), n6 * (scale // d6))
+        g = gcd(*scaled)
+        return WeierstrassCurve._of(scaled if g == 1 else tuple(v // g for v in scaled))
+
+    @staticmethod
+    def _of(scaled: tuple[int, ...]) -> "WeierstrassCurve":
+        """The model whose _scaled is scaled, which it takes as it is."""
+        c = _new(WeierstrassCurve)
+        c._fill(scaled)
+        return c
+
+    def _fill(self, scaled: tuple[int, ...]) -> None:
         b2, b4, b6, b8 = _integral_b(scaled)
-        self._set(*coeffs, scaled, -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
-        if not self._disc:
+        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_disc", disc)
+        if not disc:
             raise SingularCurve(f"discriminant vanishes for {self.equation()}")
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        scale, *nums = self._scaled
+        return tuple(Fraction(n, scale) for n in nums)
+
+    a1, a2, a3, a4, a6 = (_fraction_field(i, f"The coefficient {name}, a Fraction.")
+                          for i, name in enumerate(_fields))
+
+    @property
+    def integers(self) -> tuple[int, ...]:
+        """(n1, d1, n2, d2, n3, d3, n4, d4, n6, d6) with a_i = n_i/d_i in
+        lowest terms and d_i > 0, read from _scaled."""
+        scale, *nums = self._scaled
+        out = []
+        for n in nums:
+            g = gcd(n, scale)
+            out += (n // g, scale // g)
+        return tuple(out)
 
     def b_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         b2, b4, b6, b8 = _integral_b(self._scaled)
@@ -201,7 +266,8 @@ class WeierstrassCurve(_Value):
         return Fraction(self._disc, self._scaled[0] ** 12)
 
     def equation(self) -> str:
-        return equation_text(*(str(a) for a in (self.a1, self.a2, self.a3, self.a4, self.a6)))
+        parts = iter(self.integers)
+        return equation_text(*(rational_text(n, d) for n, d in zip(parts, parts)))
 
     def is_on_curve(self, p: CurvePoint) -> bool:
         """Whether p satisfies the curve equation.
@@ -354,16 +420,50 @@ class ModelMap(_Value):
 
     The substitution expresses source coordinates (x, y) through target
     coordinates (x', y'); push_point carries source points to the target
-    model, pull_point carries them back.
+    model, pull_point carries them back.  The slot _q holds (un, ud, rn, rd,
+    sn, sd, tn, td) with u = un/ud, r = rn/rd, s = sn/sd and t = tn/td, each
+    in lowest terms with a positive denominator, and pull_point runs on it.
+    As for WeierstrassCurve, the constructor keeps the Fractions it is
+    given, from_integers builds none, and the properties u, r, s and t,
+    which equality, the hash and the repr read, are built on first access.
     """
 
-    __slots__ = _fields = ("u", "r", "s", "t")
+    __slots__ = ("_f", "_q")
+    _fields = ("u", "r", "s", "t")
 
     def __init__(self, u: Fraction, r: Fraction, s: Fraction, t: Fraction):
-        u, r, s, t = map(_fraction, (u, r, s, t))
-        if u == 0:
+        values = tuple(map(Fraction, (u, r, s, t)))
+        if values[0] == 0:
             raise ValueError("scaling factor u must be nonzero")
-        self._set(u, r, s, t)
+        self._set(values, tuple(n for v in values for n in (v.numerator, v.denominator)))
+
+    @staticmethod
+    def from_integers(
+        un: int, ud: int, rn: int, rd: int, sn: int, sd: int, tn: int, td: int
+    ) -> "ModelMap":
+        """The map with u = un/ud, r = rn/rd, s = sn/sd and t = tn/td, for
+        integers with every denominator nonzero and un nonzero, each brought
+        to lowest terms with a positive denominator; it builds no Fraction."""
+        if not un:
+            raise ValueError("scaling factor u must be nonzero")
+        q = []
+        for n, d in ((un, ud), (rn, rd), (sn, sd), (tn, td)):
+            if not d:
+                raise ZeroDivisionError("a parameter has denominator 0")
+            g = gcd(n, d)
+            if d < 0:
+                g = -g
+            q += (n // g, d // g)
+        m = _new(ModelMap)
+        object.__setattr__(m, "_q", tuple(q))
+        return m
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        q = self._q
+        return tuple(Fraction(q[i], q[i + 1]) for i in range(0, 8, 2))
+
+    u, r, s, t = (_fraction_field(i, f"The parameter {name}, a Fraction.")
+                  for i, name in enumerate(_fields))
 
     def push_point(self, p: CurvePoint) -> CurvePoint:
         if p.is_infinity:
@@ -378,10 +478,7 @@ class ModelMap(_Value):
         # x = u^2 x' + r and y = u^3 y' + s u^2 x' + t on numerators and
         # denominators, each coordinate over a positive denominator and
         # reduced by one gcd
-        un, ud = self.u.numerator, self.u.denominator
-        rn, rd = self.r.numerator, self.r.denominator
-        sn, sd = self.s.numerator, self.s.denominator
-        tn, td = self.t.numerator, self.t.denominator
+        un, ud, rn, rd, sn, sd, tn, td = self._q
         a, b, c, d = p._c
         u2n, u2d = un * un, ud * ud
         num, den = u2n * a * rd + rn * u2d * b, u2d * b * rd
@@ -417,7 +514,7 @@ class ModelMap(_Value):
         return ModelMap(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
 
 
-IDENTITY_MAP = ModelMap(1, 0, 0, 0)
+IDENTITY_MAP = ModelMap.from_integers(1, 1, 0, 1, 0, 1, 0, 1)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -428,8 +525,8 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     """Transform to y^2 = x^3 + A x + B with integer A, B.
 
     Returns (short_curve, phi) where phi.push_point maps points of c onto the
-    short model.  Already-short integral curves come back equal, with the
-    identity map.
+    short model.  An already short integral curve comes back itself, with
+    IDENTITY_MAP.
 
     With c4 = b2^2 - 24 b4 and c6 = -b2^3 + 36 b2 b4 - 216 b6 of the integral
     model in _scaled (Silverman, AEC, III.1), completing the square and the
@@ -439,8 +536,11 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     and B integers.  Those primes divide 6 L: the valuations at 2 and 3 are
     split off, and only a cofactor left above 1 is factored, so an integral
     model factors nothing.  Composed, the map is (1/v, r, s, -a3/2 + s r).
+    Both the curve and the map are built from integers.
     """
-    scale, a1, _, a3, _, _ = c._scaled
+    scale, a1, a2, a3, _, _ = c._scaled
+    if scale == 1 and not (a1 or a2 or a3):
+        return c, IDENTITY_MAP
     b2, b4, b6, _ = _integral_b(c._scaled)
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
@@ -462,10 +562,7 @@ def to_short_integral(c: WeierstrassCurve) -> tuple[WeierstrassCurve, ModelMap]:
     if rest4 or rest6:
         raise ArithmeticError(f"the short model of {c.equation()} is not integral")
     # s = -a1/2, r = -b2/12 and t = -a3/2 + s r, over 2L, 12 L^2 and 24 L^3
-    phi = ModelMap(
-        Fraction(1, v),
-        Fraction(-b2, 12 * l2),
-        Fraction(-a1, 2 * scale),
-        Fraction(a1 * b2 - 12 * l2 * a3, 24 * l2 * scale),
+    phi = ModelMap.from_integers(
+        1, v, -b2, 12 * l2, -a1, 2 * scale, a1 * b2 - 12 * l2 * a3, 24 * l2 * scale
     )
-    return WeierstrassCurve(0, 0, 0, A, B), phi
+    return WeierstrassCurve._of((1, 0, 0, 0, A, B)), phi

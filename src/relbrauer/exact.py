@@ -29,16 +29,16 @@ TRIAL_DIVISION_BOUND = 10**3
 RHO_ITERATION_CAP = 10**6
 
 # Miller-Rabin to the first 13 prime bases is deterministic below psi_13 =
-# 3317044064679887385961981 and probabilistic from there on (psi_13 itself
-# passes all 13; base 43 catches it).
+# 3317044064679887385961981 = 1287836182261 * 2575672364521, which passes
+# all 13; from psi_13 on, a strong Lucas test follows them (Baillie-PSW).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_k for k = 1 ... 12, the least strong pseudoprime to the first k prime
+# psi_k for k = 1 ... 13, the least strong pseudoprime to the first k prime
 # bases: those k bases decide every n < psi_k (OEIS A014233; Jaeschke 1993;
 # Sorenson and Webster, Math. Comp. 86, 2017).  psi_12 =
 # 399165290221 * 798330580441 passes the bases 2 ... 37, and 41 splits it.
 _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
         341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
-        318665857834031151167461)
+        318665857834031151167461, 3317044064679887385961981)
 
 
 class _Value:
@@ -99,10 +99,67 @@ class FactoringLimitExceeded(Exception):
     """A composite cofactor survived trial division and the rho iteration cap."""
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n), for n odd and positive."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Whether odd n > 13, not a square, is a strong Lucas probable prime for
+    Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D|n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, that is
+    U_d = 0 or V_(d 2^k) = 0 mod n for some 0 <= k < s (Baillie and
+    Wagstaff, Math. Comp. 35, 1980)."""
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            # D shares a factor with n > |D|
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    # U_k, V_k and Q^k mod n from k = 1, up the bits of d: k -> 2k, then
+    # k -> k + 1 on a set bit, where halving mod odd n adds n to an odd value
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin after trial division by its 13 bases, to the first k
     bases for psi_(k-1) <= n < psi_k (psi_0 = 0) and to all 13 from psi_12
-    on: exact below psi_13, probabilistic above."""
+    on, which is exact below psi_13; from psi_13 on, the strong Lucas test
+    of _strong_lucas follows, and the two together are Baillie-PSW, with
+    no known composite that passes."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -123,7 +180,10 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    if n < _PSI[12]:
+        return True
+    root = isqrt(n)
+    return root * root != n and _strong_lucas(n)
 
 
 def _pollard_rho_brent(n: int, cap: int, rng: random.Random) -> int | None:

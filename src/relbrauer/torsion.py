@@ -17,7 +17,8 @@ integer polynomial, and its y is the square root of the cubic:
 
 Each torsion point is a sum of its 2-primary and odd parts, with the
 product of their orders.  The points are keyed by their integer (x, y) on
-the short model, mapped back to the original model once each, and
+the short model, mapped back to the original model once each (not at all
+when to_short_integral gave the curve back with IDENTITY_MAP), and
 assembled into a group presentation in the order of those keys: the map
 back, x = u^2 x' + r and y = u^3 y' + s u^2 x' + t with u > 0, sorts the
 points by (x, y) as their keys (x', y') are sorted.
@@ -25,9 +26,10 @@ points by (x, y) as their keys (x', y') are sorted.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt
 
-from .curve import INFINITY, CurvePoint, WeierstrassCurve, to_short_integral
+from .curve import IDENTITY_MAP, INFINITY, CurvePoint, WeierstrassCurve, to_short_integral
 from .exact import _Value
 from .local import integer_roots
 
@@ -58,6 +60,16 @@ class TorsionGroup(_Value):
         return " x ".join(f"Z/{n}" for n in sorted(self.invariants, reverse=True))
 
 
+@cache
+def _square_roots(p: int) -> tuple[int, ...]:
+    """#{y mod p : y^2 = v} for each residue v mod p, an odd prime; built
+    once per process."""
+    roots = [1] + [0] * (p - 1)
+    for y in range(1, p // 2 + 1):
+        roots[y * y % p] = 2
+    return tuple(roots)
+
+
 def _order_bound(a: int, b: int) -> int:
     """A multiple of |E(Q)_tors| for y^2 = x^3 + a*x + b: the gcd of
     #Ē(F_p) = 1 + sum over x of #{y : y^2 = x^3 + a*x + b mod p}."""
@@ -66,11 +78,9 @@ def _order_bound(a: int, b: int) -> int:
     for p in _BOUND_PRIMES:
         if disc % p == 0:
             continue
-        roots = [1] + [0] * (p - 1)
-        for y in range(1, p // 2 + 1):
-            roots[y * y % p] = 2
+        roots = _square_roots(p)
         ap, bp = a % p, b % p
-        count = 1 + sum([roots[(x * x * x + ap * x + bp) % p] for x in range(p)])
+        count = 1 + sum([roots[(x * (x * x + ap) + bp) % p] for x in range(p)])
         unchanged = unchanged + 1 if bound == gcd(bound, count) else 0
         bound = gcd(bound, count)
         if bound == 1 or unchanged == 6:
@@ -179,7 +189,10 @@ def torsion_subgroup(curve: WeierstrassCurve) -> TorsionGroup:
     orders = _two_primary(a, b, bound)
     for part in _odd_parts(a, b, bound):
         orders = _direct_sum(short, orders, part)
-    rows = [(xy, phi.pull_point(_point(xy)), n) for xy, n in orders.items()]
+    if phi is IDENTITY_MAP:
+        rows = [(xy, _point(xy), n) for xy, n in orders.items()]
+    else:
+        rows = [(xy, phi.pull_point(_point(xy)), n) for xy, n in orders.items()]
     return _presentation(curve, rows)
 
 

@@ -13,6 +13,7 @@ import pytest
 import relbrauer
 from relbrauer import CurvePoint, INFINITY, PointNotOnCurve, WeierstrassCurve
 from relbrauer.cli import (
+    RANK_WARNING,
     JobSpec,
     ParseError,
     main,
@@ -268,6 +269,50 @@ def test_pairing_over_a_field_whose_discriminant_is_psi12(capsys):
     )
     assert code == 0
     assert "  status: nontrivial (witness prime 399165290221)\n" in capsys.readouterr().out
+
+
+def test_pairing_over_a_field_whose_discriminant_is_psi13(capsys):
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to all 13
+    # bases; taken for a prime, it made the class of 1/61 trivial, but the
+    # Hilbert symbol (psi_13, 61) is -1 at both of its primes
+    from relbrauer import hilbert_symbol, quaternion_witness
+
+    psi13, primes = 3317044064679887385961981, (1287836182261, 2575672364521)
+    assert [hilbert_symbol(psi13, 61, p) for p in primes] == [-1, -1]
+    code = main(
+        ["pairing", "--curve", "[-3721,0]", "--t=0,0", "--m", "2", "--p=61,0",
+         "--ext", f"quad:{psi13}"]
+    )
+    assert code == 0
+    witness = quaternion_witness(psi13, F(1, 61))
+    assert witness == primes[0]
+    assert f"  status: nontrivial (witness prime {witness})\n" in capsys.readouterr().out
+
+
+_Y2_X3_36X = ["relbr", "--curve", "[-36,0]", "--t=0,0", "--m", "2", "--ext", "quad:5"]
+
+
+def test_relbr_auto_gens_is_a_lower_bound(capsys):
+    # --gens auto takes the torsion generators only, (-6, 0) and (0, 0):
+    # their classes give Z/2, with the rank warning
+    assert main(_Y2_X3_36X) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"{RANK_WARNING}\n"
+    assert captured.out.endswith("group structure: Z/2\n")
+    assert "(-3, 9)" not in captured.out
+    # the point (-3, 9) of infinite order pairs to -3, nontrivial at 3
+    assert main([*_Y2_X3_36X, "--gens=-6,0;0,0;-3,9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith(
+        "point: (-3, 9)\n"
+        "  b_raw: -1/3\n"
+        "  b_normalized: -3\n"
+        "  status: nontrivial (witness prime 3)\n"
+        "group structure: Z/2 x Z/2\n"
+    )
+    assert main([*_Y2_X3_36X, "--gens=-6,0;0,0;-3,9", "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["group_structure"] == [2, 2]
 
 
 @contextmanager
@@ -596,19 +641,20 @@ PAIRING_ARGV = [
 
 
 def test_main_leaves_no_cyclic_garbage(capsys):
-    # a parser built per call leaves its formatters and actions to the
-    # cycle collector.  Text output: json.dumps with indent builds
-    # self-referencing closures of its own.
+    # a parser built per call would leave its formatters and actions to the
+    # cycle collector, and json.dumps with indent builds self-referencing
+    # closures in its pure-Python encoder: neither may run, text or JSON
     import gc
 
-    assert main(PAIRING_ARGV) == 0
-    gc.collect()
-    gc.disable()
-    try:
-        assert main(PAIRING_ARGV) == 0
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for argv in (PAIRING_ARGV, [*PAIRING_ARGV, "--output", "json"]):
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_parser_reused_after_a_bad_call_gives_fresh_output(capsys):
@@ -660,6 +706,51 @@ def _pool_argvs():
                 if "--output" not in argv:
                     argvs.append(argv + ["--output", "json"])
     return argvs
+
+
+def test_render_json_is_json_dumps_on_every_pool_report():
+    # the report of every reference-pool job that succeeds, written by the
+    # CLI's JSON writer and by json.dumps with indent=2
+    from relbrauer.cli import _job_from_args, render_json
+
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    reports = argvs = 0
+    for pool in sorted(reference.glob("*.json")):
+        for entries in json.loads(pool.read_text()).values():
+            for entry in entries:
+                argvs += 1
+                if entry["exit"] != 0:
+                    continue
+                with redirect_stderr(io.StringIO()):
+                    report = run(_job_from_args(entry["argv"]))
+                assert render_json(report) == json.dumps(report, indent=2), entry["argv"]
+                reports += 1
+    assert argvs == 2290 and reports > 2000
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [], {}, None, 0, -12, 10**40, "", "plain",
+        'a "quote", a \\ backslash, a tab\t and a newline\n',
+        "non-ASCII: \u2212 \u00e9 \U0001d53d",
+        {"empty": [], "none": None, "nested": {"list": [[], [1, [2, {}]], {"k": "v"}]}},
+        [{"a": {}}, [None, "x"], {"\u00e9": ["\\"]}],
+    ],
+    ids=lambda value: repr(value)[:24],
+)
+def test_render_json_edge_cases(value):
+    from relbrauer.cli import render_json
+
+    assert render_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, True, (1, 2), {"k": [False]}, {1: "v"}.values()])
+def test_render_json_refuses_values_a_report_never_holds(value):
+    from relbrauer.cli import render_json
+
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        render_json(value)
 
 
 def test_every_pool_answer_matches_its_reference():
@@ -821,8 +912,8 @@ def test_explicit_double_dash_left_to_argparse_is_a_parse_error(argv, name, caps
 
 
 def test_literal_reads_integers_without_the_fraction_regex():
-    # the same value, or the same exception, as Fraction(token)
-    from relbrauer.cli import _rational
+    # the integers of the same value, or the same exception, as Fraction(token)
+    from relbrauer.cli import _rational_parts
 
     tokens = [
         "0", "-0", "007", "-12", "+5", "5/3", "-10/1", "-20.0", "1e3", "1_0", "-1_0",
@@ -833,10 +924,11 @@ def test_literal_reads_integers_without_the_fraction_regex():
             expected = F(token)
         except (ValueError, ZeroDivisionError) as exc:
             with pytest.raises(type(exc)):
-                _rational(token)
+                _rational_parts(token)
         else:
-            value = _rational(token)
-            assert type(value) is F and value == expected, token
+            num, den = _rational_parts(token)
+            assert type(num) is int and type(den) is int, token
+            assert (num, den) == (expected.numerator, expected.denominator), token
 
 
 def test_edge_argv_errors_keep_argparse_messages(capsys):

@@ -391,6 +391,91 @@ def test_curve_construction_makes_no_fraction_arithmetic(fraction_arithmetic_ref
     assert got == expected
 
 
+def test_curve_from_integers_matches_the_fraction_constructor(monkeypatch):
+    # from_integers takes numerators and denominators in any form and builds
+    # the curve of the Fractions, with the same _scaled and no Fraction
+    cases = [(c.a1, c.a2, c.a3, c.a4, c.a6) for c, _ in seeded_models()]
+    cases += [(0, -1, 1, -10, -20), (F(1, 2), 0, F(1, 3), 1, 1), (0, 0, 0, F(-4, 9), F(5, 27))]
+    expected = [WeierstrassCurve(*coeffs) for coeffs in cases]
+    rng = random.Random(27)
+    integers = []
+    for coeffs in cases:
+        row = []
+        for a in coeffs:
+            a, k = F(a), rng.choice([1, 2, -3, 5])
+            row += (a.numerator * k, a.denominator * k)
+        integers.append(row)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction built by WeierstrassCurve.from_integers")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curve_module, "Fraction", refuse)
+        got = [WeierstrassCurve.from_integers(*row) for row in integers]
+        texts = [(c.equation(), c.integers) for c in got]
+    for curve, want, (equation, ints) in zip(got, expected, texts):
+        assert curve == want and hash(curve) == hash(want) and repr(curve) == repr(want)
+        assert curve._scaled == want._scaled and curve._disc == want._disc
+        assert equation == want.equation()
+        parts = iter(ints)
+        coeffs = [want.a1, want.a2, want.a3, want.a4, want.a6]
+        assert [F(n, d) for n, d in zip(parts, parts)] == coeffs
+        assert all(d > 0 and gcd(n, d) == 1 for n, d in zip(ints[::2], ints[1::2]))
+
+
+def test_curve_from_integers_builds_its_fractions_once_on_demand():
+    c = WeierstrassCurve.from_integers(0, 1, -2, 2, 3, 3, -20, 2, -40, 2)
+    assert c._scaled == (1, 0, -1, 1, -10, -20)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(c, "_f")
+    assert c == WeierstrassCurve(0, -1, 1, -10, -20)
+    assert c.a4 is c.a4 and type(c.a4) is F and c.a4 == -10
+    d = WeierstrassCurve.from_integers(0, 1, -2, 2, 3, 3, -20, 2, -40, 2)
+    for e in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert e == c and hash(e) == hash(c) and repr(e) == repr(c)
+    with pytest.raises(ZeroDivisionError):
+        WeierstrassCurve.from_integers(0, 1, 0, 1, 0, 1, 1, 0, 1, 1)
+    with pytest.raises(SingularCurve, match=r"discriminant vanishes for y\^2 = x\^3 - 3\*x \+ 2"):
+        WeierstrassCurve.from_integers(0, 1, 0, 1, 0, 1, -6, 2, 2, 1)
+
+
+def test_model_map_from_integers_matches_the_fraction_constructor():
+    m = ModelMap.from_integers(-2, -6, 4, 2, 0, -7, 9, -12)
+    assert m == ModelMap(F(1, 3), 2, 0, F(-3, 4))
+    assert m._q == (1, 3, 2, 1, 0, 1, -3, 4)
+    assert hash(m) == hash((F(1, 3), 2, 0, F(-3, 4)))
+    assert m.u is m.u and type(m.t) is F
+    with pytest.raises(ValueError, match="scaling factor u must be nonzero"):
+        ModelMap.from_integers(0, 1, 0, 1, 0, 1, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        ModelMap.from_integers(1, 1, 1, 0, 0, 1, 0, 1)
+    p = CurvePoint(F(3, 4), F(-5, 8))
+    assert m.pull_point(p) == ModelMap(F(1, 3), 2, 0, F(-3, 4)).pull_point(p)
+
+
+def test_to_short_integral_builds_no_fraction(monkeypatch):
+    # the short model and the map come from integers; an already short
+    # integral model comes back itself, with IDENTITY_MAP
+    from relbrauer import IDENTITY_MAP
+
+    curves = [curve for curve, _ in seeded_models()]
+    curves += [WeierstrassCurve(0, 0, 0, -48, 0), WeierstrassCurve(0, 0, 0, F(1, 4), 0)]
+    expected = [to_short_integral(curve) for curve in curves]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction built by to_short_integral")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curve_module, "Fraction", refuse)
+        got = [to_short_integral(curve) for curve in curves]
+    assert got == expected
+    identity = [(curve, phi) for curve, (short, phi) in zip(curves, got) if short is curve]
+    assert len(identity) >= 1
+    assert all(phi is IDENTITY_MAP for _, phi in identity)
+    assert all(curve._scaled[0] == 1 and curve._scaled[1:4] == (0, 0, 0)
+               for curve, _ in identity)
+
+
 def test_point_display():
     assert str(INFINITY) == "O"
     assert str(CurvePoint(F(-13, 4), F(9, 8))) == "(-13/4, 9/8)"

@@ -57,6 +57,22 @@ def test_is_probable_prime_known_hard_cases():
     assert not is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
     assert not is_probable_prime(M61 * M61)
     assert not is_probable_prime(PSI12)  # passes the bases 2 ... 37; 41 catches it
+    assert is_probable_prime(M89) and is_probable_prime(M127)
+    assert not is_probable_prime(M89 * M127)
+
+
+def test_strong_lucas_matches_selfridge_pseudoprimes():
+    # below 20,000 the odd non-squares above 13 that pass the strong Lucas
+    # test with Selfridge's parameters are the primes and the strong Lucas
+    # pseudoprimes 5459, 5777, 10877, 16109, 18971 (OEIS A217255)
+    from relbrauer.exact import _strong_lucas
+
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971}
+    for n in range(15, 20000, 2):
+        if isqrt(n) ** 2 == n:
+            continue
+        prime = all(n % d for d in range(3, isqrt(n) + 1, 2))
+        assert _strong_lucas(n) is (prime or n in pseudoprimes), n
 
 
 def test_factor_basic():
@@ -65,6 +81,7 @@ def test_factor_basic():
     assert factor(-1) == (-1, {})
     assert factor(97) == (1, {97: 1})
     assert factor(PSI12) == (1, {399165290221: 1, 798330580441: 1})
+    assert factor(PSI[12]) == (1, {1287836182261: 1, 2575672364521: 1})
     sign, expo = factor(2**10 * 3**5 * 11)
     assert sign == 1 and expo == {2: 10, 3: 5, 11: 1}
 
@@ -352,12 +369,11 @@ def test_is_probable_prime_at_each_psi(k):
     psi = PSI[k - 1]
     # psi_k is composite and passes the first k bases, so those do not decide it
     assert all(_strong_probable_prime(psi, a) for a in BASES[:k])
-    if k < 13:
-        assert not is_probable_prime(psi)
-    else:
-        # from psi_13 on the test is probabilistic: psi_13 passes all 13
-        # bases, as at every size, and only base 43 catches it
-        assert is_probable_prime(psi) and is_probable_prime_by_13_bases(psi)
+    assert not is_probable_prime(psi)
+    if k == 13:
+        # psi_13 passes all 13 bases, and base 43 would catch it; the strong
+        # Lucas test that follows the bases from psi_13 on catches it
+        assert is_probable_prime_by_13_bases(psi)
         assert not _strong_probable_prime(psi, 43)
     assert is_probable_prime(_prime_below(psi))
 

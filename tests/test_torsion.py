@@ -236,3 +236,35 @@ def test_reduction_bound_is_a_multiple_of_the_order(oracle_groups):
         exact_bound += bound == expected.order
     # the bound is the order itself on nearly every curve
     assert exact_bound > 0.99 * len(oracle_groups)
+
+
+def test_identity_map_skips_the_pull_back(monkeypatch, oracle_groups):
+    # a short integral model comes back from to_short_integral as itself
+    # with IDENTITY_MAP, and its torsion points are taken as they are found
+    from relbrauer import IDENTITY_MAP, ModelMap
+
+    def refuse(self, p):
+        raise AssertionError("pull_point under the identity map")
+
+    short = [(curve, group) for curve, group in oracle_groups
+             if curve_module.to_short_integral(curve)[1] is IDENTITY_MAP]
+    assert len(short) > 100
+    monkeypatch.setattr(ModelMap, "pull_point", refuse)
+    for curve, expected in short:
+        assert curve_module.to_short_integral(curve)[0] is curve
+        assert torsion_subgroup(curve) == expected, curve
+
+
+def test_residue_tables_are_built_once_per_prime():
+    torsion_module._square_roots.cache_clear()
+    curve = WeierstrassCurve(0, 0, 0, -2, 2)
+    first = torsion_subgroup(curve)
+    built = torsion_module._square_roots.cache_info().currsize
+    assert built > 0
+    assert torsion_subgroup(curve) == first
+    info = torsion_module._square_roots.cache_info()
+    assert info.currsize == built and info.hits >= built
+    for p in (3, 5, 7, 101, 397):
+        roots = torsion_module._square_roots(p)
+        assert roots is torsion_module._square_roots(p)
+        assert roots == tuple(sum(y * y % p == v for y in range(p)) for v in range(p))
