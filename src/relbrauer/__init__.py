@@ -53,7 +53,6 @@ from .curve import (
 from .exact import (
     FactoringLimitExceeded,
     Poly,
-    Rat,
     factor,
     is_probable_prime,
     mth_power_free_part,
@@ -90,7 +89,6 @@ __all__ = [
     "PointNotOnCurve",
     "Poly",
     "Quadratic",
-    "Rat",
     "RationalCocycle",
     "SingularCurve",
     "TorsionGroup",

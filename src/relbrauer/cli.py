@@ -27,7 +27,7 @@ from .curve import (
     equation_text,
     rational_text,
 )
-from .exact import FactoringLimitExceeded, _Value
+from .exact import FactoringLimitExceeded
 from .torsion import torsion_subgroup
 
 RANK_WARNING = (
@@ -156,26 +156,6 @@ def parse_extension(text: str):
     raise ParseError(f"unknown extension kind {head!r}; expected 'quad' or 'cyclo'")
 
 
-class JobSpec(_Value):
-    """A fully parsed invocation, ready to run."""
-
-    __slots__ = _fields = ("command", "curve", "output", "t", "m", "p", "ext", "gens_auto", "gens")
-
-    def __init__(
-        self,
-        command: str,
-        curve: WeierstrassCurve,
-        output: str = "text",
-        t: CurvePoint | None = None,
-        m: int | None = None,
-        p: CurvePoint | None = None,
-        ext: Quadratic | Cyclotomic | None = None,
-        gens_auto: bool = True,
-        gens: tuple[CurvePoint, ...] | None = None,
-    ):
-        self._set(command, curve, output, t, m, p, ext, gens_auto, gens)
-
-
 def _point_json(p: CurvePoint):
     if p.is_infinity:
         return "O"
@@ -214,15 +194,12 @@ def _algebra_json(point: CurvePoint, algebra, status, order=None) -> dict:
     return entry
 
 
-def run(job: JobSpec) -> dict:
-    """Execute a job and return its JSON-ready report."""
-    if job.command == "torsion":
-        return _run_torsion(job)
-    if job.command == "pairing":
-        return _run_pairing(job)
-    if job.command == "relbr":
-        return _run_relbr(job)
-    raise ValueError(f"unknown command {job.command!r}")
+def run(job) -> dict:
+    """Execute a job, the namespace that _job_from_args fills, and return
+    its JSON-ready report."""
+    if job.command not in _OPTIONS:
+        raise ValueError(f"unknown command {job.command!r}")
+    return _OPTIONS[job.command][2](job)
 
 
 def _torsion(curve: WeierstrassCurve):
@@ -234,7 +211,7 @@ def _torsion(curve: WeierstrassCurve):
         raise FactoringLimitExceeded(f"torsion search on {curve.equation()}: {exc}") from None
 
 
-def _run_torsion(job: JobSpec) -> dict:
+def _run_torsion(job) -> dict:
     group = _torsion(job.curve)
     return {
         "schema": "1",
@@ -257,7 +234,7 @@ def _point_order(cocycle: RationalCocycle, point: CurvePoint) -> int | None:
     return cocycle.curve.point_order(point) if order is None else order
 
 
-def _run_pairing(job: JobSpec) -> dict:
+def _run_pairing(job) -> dict:
     cocycle = RationalCocycle(job.curve, job.m, job.t)
     algebra = brauer_pairing(cocycle, job.p, job.ext)
     status = class_status(algebra)
@@ -272,9 +249,9 @@ def _run_pairing(job: JobSpec) -> dict:
     }
 
 
-def _run_relbr(job: JobSpec) -> dict:
+def _run_relbr(job) -> dict:
     cocycle = RationalCocycle(job.curve, job.m, job.t)
-    if job.gens_auto:
+    if job.gens is None:
         print(RANK_WARNING, file=sys.stderr)
         generators = _torsion(job.curve).generators
     else:
@@ -363,14 +340,15 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-# Each command's help and its options, as add_argument keywords: the one
-# table that _build_parser() declares and _scan reads.
+# Each command's help, its options as add_argument keywords, and its
+# runner: the one table that _build_parser() declares, _scan reads and run()
+# dispatches on.
 _COMMON = {
     "--curve": {"required": True, "help": "'a1 a2 a3 a4 a6' or '[A,B]'"},
     "--output": {"choices": ("text", "json"), "default": "text"},
 }
 _OPTIONS = {
-    "torsion": ("rational torsion subgroup", _COMMON),
+    "torsion": ("rational torsion subgroup", _COMMON, _run_torsion),
     "pairing": (
         "Brauer class of a single point",
         {
@@ -380,6 +358,7 @@ _OPTIONS = {
             "--p": {"required": True, "help": "point to pair, 'O' or 'x,y'"},
             "--ext": {"required": True, "help": "'quad:d' or 'cyclo:N:g1,g2'"},
         },
+        _run_pairing,
     ),
     "relbr": (
         "relative Brauer group presentation",
@@ -393,6 +372,7 @@ _OPTIONS = {
                 "help": "'auto' (torsion generators, rank 0 assumed) or 'x1,y1;x2,y2;...'",
             },
         },
+        _run_relbr,
     ),
 }
 
@@ -447,54 +427,50 @@ def _build_parser():
 
     parser = _Parser(prog="relbrauer", description="relative Brauer groups of genus-1 curves")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _OPTIONS.items():
+    for command, (help_text, options, _) in _OPTIONS.items():
         command_parser = sub.add_parser(command, help=help_text)
         for name, spec in options.items():
             command_parser.add_argument(name, **spec)
     return parser
 
 
-def _job_from_args(argv) -> JobSpec:
+def _job_from_args(argv):
+    """The namespace of argv's options, read by _scan or else by argparse,
+    with the literals replaced in place by what they name: curve; then t and
+    ext; then p, or gens, which is None for 'auto'."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = _scan(argv)
-    if ns is None:
-        ns = _build_parser().parse_args(argv)
+    job = _scan(argv)
+    if job is None:
+        job = _build_parser().parse_args(argv)
         # argparse up to 3.12 reads an explicit '--name=--' as an empty list
-        for name, spec in _OPTIONS[ns.command][1].items():
-            if not isinstance(getattr(ns, name[2:]), spec.get("type", str)):
+        for name, spec in _OPTIONS[job.command][1].items():
+            if not isinstance(getattr(job, name[2:]), spec.get("type", str)):
                 raise ParseError(f"argument {name}: expected one argument")
-    curve = parse_curve(ns.curve)
-    if ns.command == "torsion":
-        return JobSpec("torsion", curve, output=ns.output)
-    t = parse_point(ns.t, curve)
+    job.curve = parse_curve(job.curve)
+    if job.command == "torsion":
+        return job
+    job.t = parse_point(job.t, job.curve)
     try:
-        ext = parse_extension(ns.ext)
+        job.ext = parse_extension(job.ext)
     except FactoringLimitExceeded as exc:
-        raise FactoringLimitExceeded(f"--ext {ns.ext}: {exc}") from None
-    if ns.command == "pairing":
-        p = parse_point(ns.p, curve)
-        return JobSpec("pairing", curve, output=ns.output, t=t, m=ns.m, p=p, ext=ext)
-    gens_value = _normalize(ns.gens)
-    if gens_value == "auto":
-        return JobSpec("relbr", curve, output=ns.output, t=t, m=ns.m, ext=ext, gens_auto=True)
-    points = tuple(
-        parse_point(piece, curve) for piece in gens_value.split(";") if piece.strip()
-    )
-    if not points:
-        raise ParseError("--gens needs 'auto' or a ';'-separated point list")
-    return JobSpec(
-        "relbr", curve, output=ns.output, t=t, m=ns.m, ext=ext, gens_auto=False, gens=points
-    )
+        raise FactoringLimitExceeded(f"--ext {job.ext}: {exc}") from None
+    if job.command == "pairing":
+        job.p = parse_point(job.p, job.curve)
+        return job
+    gens = _normalize(job.gens)
+    job.gens = None
+    if gens != "auto":
+        job.gens = tuple(parse_point(text, job.curve) for text in gens.split(";") if text.strip())
+        if not job.gens:
+            raise ParseError("--gens needs 'auto' or a ';'-separated point list")
+    return job
 
 
 def main(argv=None) -> int:
     try:
         job = _job_from_args(argv)
         report = run(job)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SingularCurve, PointNotOnCurve, ValueError) as exc:
+    except (ParseError, SingularCurve, PointNotOnCurve, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FactoringLimitExceeded as exc:

@@ -32,6 +32,20 @@ class PointNotOnCurve(Exception):
     pass
 
 
+def _fraction_field(i: int, doc: str) -> property:
+    """The i-th of the Fractions that _fractions() builds from a value's
+    integers, on the first read of any of them, and keeps in the slot _f."""
+
+    def get(self) -> Fraction:
+        try:
+            return self._f[i]
+        except AttributeError:
+            object.__setattr__(self, "_f", self._fractions())
+            return self._f[i]
+
+    return property(get, doc=doc)
+
+
 class CurvePoint(_Value):
     """A rational point: affine coordinates, or the point at infinity (None, None).
 
@@ -39,26 +53,22 @@ class CurvePoint(_Value):
     y = Y/dy, each in lowest terms with dx, dy > 0, or None at infinity;
     from_integers builds a point from four integers in any form and reduces
     them, while _of, used only in this module, takes them as they are.
-    Equality compares the integers.  The properties x and y are Fractions
-    built from them on first access and kept, and the hash is that of
-    (x, y).
+    Equality compares the integers.  The properties x and y are Fractions,
+    kept from the constructor or built from the integers on first access,
+    and the hash is that of (x, y).
     """
 
-    __slots__ = ("_c", "_x", "_y")
+    __slots__ = ("_c", "_f")
     _fields = ("x", "y")
 
     def __init__(self, x: Fraction | None = None, y: Fraction | None = None):
         if (x is None) != (y is None):
             raise ValueError("affine points need both coordinates")
         if x is None:
-            self._set(None, None, None)
+            self._set(None, (None, None))
         else:
             x, y = Fraction(x), Fraction(y)
-            self._set((x.numerator, x.denominator, y.numerator, y.denominator), x, y)
-
-    @staticmethod
-    def affine(x, y) -> "CurvePoint":
-        return CurvePoint(Fraction(x), Fraction(y))
+            self._set((x.numerator, x.denominator, y.numerator, y.denominator), (x, y))
 
     @staticmethod
     def from_integers(X: int, dx: int, Y: int, dy: int) -> "CurvePoint":
@@ -81,23 +91,14 @@ class CurvePoint(_Value):
         _set_c(p, (X, dx, Y, dy))
         return p
 
-    @property
-    def x(self) -> Fraction | None:
-        try:
-            return self._x
-        except AttributeError:
-            X, dx, _, _ = self._c
-            object.__setattr__(self, "_x", Fraction(X, dx))
-            return self._x
+    def _fractions(self) -> tuple[Fraction | None, Fraction | None]:
+        if self._c is None:
+            return None, None
+        X, dx, Y, dy = self._c
+        return Fraction(X, dx), Fraction(Y, dy)
 
-    @property
-    def y(self) -> Fraction | None:
-        try:
-            return self._y
-        except AttributeError:
-            _, _, Y, dy = self._c
-            object.__setattr__(self, "_y", Fraction(Y, dy))
-            return self._y
+    x, y = (_fraction_field(i, f"The coordinate {name}, a Fraction, or None at infinity.")
+            for i, name in enumerate(_fields))
 
     integers = property(
         attrgetter("_c"),
@@ -137,20 +138,6 @@ def rational_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _fraction_field(i: int, doc: str) -> property:
-    """The i-th of the Fractions that _fractions() builds from a value's
-    integers, on the first read of any of them, and keeps in the slot _f."""
-
-    def get(self) -> Fraction:
-        try:
-            return self._f[i]
-        except AttributeError:
-            object.__setattr__(self, "_f", self._fractions())
-            return self._f[i]
-
-    return property(get, doc=doc)
-
-
 def equation_text(a1: str, a2: str, a3: str, a4: str, a6: str) -> str:
     """The equation of the model whose coefficients are written as the
     strings str(Fraction), e.g. 'y^2 + y = x^3 - x^2 - 10*x - 20'."""
@@ -186,7 +173,7 @@ class WeierstrassCurve(_Value):
 
     _scaled holds (L, L*a1, L*a2, L*a3, L*a4, L*a6) as integers, with L the
     least common denominator of the coefficients, so that the gcd of the six
-    is 1; is_on_curve, add and chord_slope compute on it and on the
+    is 1; is_on_curve, add and _slope compute on it and on the
     coordinates' numerators and denominators.  Weighting a_i by L^i instead
     gives the integral model L*a1, L^2*a2, L^3*a3, L^4*a4, L^6*a6 (the change
     of variables with u = 1/L); its b-invariants are L^2*b2, L^4*b4, L^6*b6,
@@ -257,11 +244,6 @@ class WeierstrassCurve(_Value):
             out += (n // g, scale // g)
         return tuple(out)
 
-    def b_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        b2, b4, b6, b8 = _integral_b(self._scaled)
-        l2 = self._scaled[0] ** 2
-        return Fraction(b2, l2), Fraction(b4, l2**2), Fraction(b6, l2**3), Fraction(b8, l2**4)
-
     def discriminant(self) -> Fraction:
         return Fraction(self._disc, self._scaled[0] ** 12)
 
@@ -317,7 +299,9 @@ class WeierstrassCurve(_Value):
         return num, scale * dx * dx * dy
 
     def _slope(self, p: CurvePoint, q: CurvePoint) -> tuple[int, int] | None:
-        """The slope of chord_slope as (N, D) in lowest terms with D > 0, or None.
+        """The slope of the line through the affine points p and q of the
+        curve, the tangent when p = q, as (N, D) in lowest terms with D > 0;
+        None when that line is vertical (q = -p).
 
         With x = X/dx and y = Y/dy, the chord slope is
         (Y2 dy1 - Y1 dy2) dx1 dx2 / ((X2 dx1 - X1 dx2) dy1 dy2).  The tangent
@@ -341,12 +325,6 @@ class WeierstrassCurve(_Value):
         if den < 0:
             g = -g
         return num // g, den // g
-
-    def chord_slope(self, p: CurvePoint, q: CurvePoint) -> Fraction | None:
-        """Slope of the line through the affine points p and q of the curve,
-        the tangent when p = q, or None when that line is vertical (q = -p)."""
-        slope = self._slope(p, q)
-        return None if slope is None else Fraction(*slope)
 
     def add(self, p: CurvePoint, q: CurvePoint) -> CurvePoint:
         """p + q by the chord-tangent law (Silverman, AEC, III.2.3), on the
@@ -508,10 +486,6 @@ class ModelMap(_Value):
             s1 + u1 * s2,
             t1 + u1**2 * s1 * r2 + u1**3 * t2,
         )
-
-    def inverse(self) -> "ModelMap":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        return ModelMap(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
 
 
 IDENTITY_MAP = ModelMap.from_integers(1, 1, 0, 1, 0, 1, 0, 1)

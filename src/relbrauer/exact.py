@@ -21,8 +21,6 @@ from itertools import zip_longest
 from math import gcd, isqrt
 from operator import attrgetter
 
-Rat = Fraction
-
 # trial division runs this far, then rho takes the cofactor: rho finds a
 # prime p in about sqrt(p) squarings, far below its cap for any p <= 10**6
 TRIAL_DIVISION_BOUND = 10**3
@@ -370,7 +368,7 @@ def split_prime_power(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def rational_exponents(r: Rat) -> dict[int, int]:
+def rational_exponents(r: Fraction) -> dict[int, int]:
     """{p: v_p(r)} over the primes dividing a nonzero rational r.
 
     Factors |numerator| and denominator once each, and neither when it is 1.
@@ -388,7 +386,7 @@ def rational_exponents(r: Rat) -> dict[int, int]:
     return exps
 
 
-def mth_power_free_part(r: Rat, m: int, exponents: dict[int, int] | None = None) -> Rat:
+def mth_power_free_part(r: Fraction, m: int, exponents: dict[int, int] | None = None) -> Fraction:
     """Strip m-th powers from a nonzero rational.
 
     The result s has every prime exponent in [0, m) and r/s is an exact

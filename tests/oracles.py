@@ -205,7 +205,7 @@ def torsion_subgroup_by_full_search(curve):
     found = set()
     for y in _sieve(_square_divisor_roots(int(short.discriminant())), a4, a6):
         for x in _integer_roots_depressed_cubic(a4, a6 - y * y):
-            p = CurvePoint.affine(x, y)
+            p = CurvePoint(x, y)
             if short.point_order(p, ORDER_BOUND) is not None:
                 found.add(p)
                 found.add(short.negate(p))

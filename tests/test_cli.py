@@ -14,8 +14,8 @@ import relbrauer
 from relbrauer import CurvePoint, INFINITY, PointNotOnCurve, WeierstrassCurve
 from relbrauer.cli import (
     RANK_WARNING,
-    JobSpec,
     ParseError,
+    _job_from_args,
     main,
     parse_curve,
     parse_extension,
@@ -97,7 +97,8 @@ def test_parse_extension_errors():
 
 
 def test_run_torsion_report(order5_curve):
-    job = JobSpec(command="torsion", curve=order5_curve)
+    job = _job_from_args(["torsion", "--curve", "0 -1 1 -10 -20"])
+    assert job.curve == order5_curve
     report = run(job)
     assert report["schema"] == "1"
     assert report["command"] == "torsion"
@@ -206,7 +207,7 @@ def test_relbr_group_structure_above_m_2(capsys):
 def test_render_text_reads_the_equation_from_the_report(monkeypatch):
     import relbrauer.curve as curve_mod
 
-    report = run(JobSpec(command="torsion", curve=WeierstrassCurve(1, -1, F(-1, 2), F(3, 4), -1)))
+    report = run(_job_from_args(["torsion", "--curve", "1 -1 -1/2 3/4 -1"]))
 
     def no_rebuild(self):
         raise AssertionError("render_text must not rebuild the curve")
@@ -606,7 +607,7 @@ def test_exit_code_impossible_torsion_group(monkeypatch, capsys):
 def test_reported_orders_equal_point_order_on_the_pools():
     # a paired point of <t> takes its order from the walk, any other point
     # from point_order; both must give point_order's answer
-    from relbrauer.cli import _job_from_args, _point_order
+    from relbrauer.cli import _point_order
     from relbrauer.cocycle import RationalCocycle
 
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -616,7 +617,7 @@ def test_reported_orders_equal_point_order_on_the_pools():
         for entries in json.loads((reference / f"{pool}.json").read_text()).values():
             for entry in entries:
                 job = _job_from_args(entry["argv"])
-                if job.command == "torsion" or (job.command == "relbr" and job.gens_auto):
+                if job.command == "torsion" or (job.command == "relbr" and job.gens is None):
                     continue
                 coc = RationalCocycle(job.curve, job.m, job.t)
                 for p in [job.p] if job.command == "pairing" else job.gens:
@@ -628,9 +629,8 @@ def test_reported_orders_equal_point_order_on_the_pools():
     assert seen == {"highm_pairing": (540, 588), "cli_light": (288, 588), "decide_m2": (418, 1200)}
 
 
-def test_render_text_round_trip(order5_curve):
-    job = JobSpec(command="torsion", curve=order5_curve)
-    text = render_text(run(job))
+def test_render_text_round_trip():
+    text = render_text(run(_job_from_args(["torsion", "--curve", "0 -1 1 -10 -20"])))
     assert "torsion: Z/5 (order 5)" in text
 
 
@@ -711,7 +711,7 @@ def _pool_argvs():
 def test_render_json_is_json_dumps_on_every_pool_report():
     # the report of every reference-pool job that succeeds, written by the
     # CLI's JSON writer and by json.dumps with indent=2
-    from relbrauer.cli import _job_from_args, render_json
+    from relbrauer.cli import render_json
 
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
     reports = argvs = 0
@@ -793,7 +793,7 @@ def test_parser_usage_reads_the_option_table(capsys):
     # lists the table's options, required ones bare and the rest bracketed
     from relbrauer.cli import _OPTIONS
 
-    for command, (_, options) in _OPTIONS.items():
+    for command, (_, options, _) in _OPTIONS.items():
         words = []
         for name, spec in options.items():
             metavar = "{%s}" % ",".join(spec["choices"]) if "choices" in spec else name[2:].upper()
@@ -909,6 +909,61 @@ def test_explicit_double_dash_left_to_argparse_is_a_parse_error(argv, name, caps
     assert err.startswith("error: ") and err.count("\n") == 1
     if getattr(_build_parser().parse_args(argv), name[2:]) == []:
         assert err == f"error: argument {name}: expected one argument\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torsion", "--curve", "[-36,0]", "--output", "json"],
+        ["pairing", "--curve", _C, *_REST],
+        ["relbr", "--curve", "[-1,0]", "--t", "0,0", "--m", "2", "--ext", "quad:-1"],
+        ["relbr", "--curve", _C, *_REST[:4], *_REST[6:], "--gens=auto", "--output=json"],
+        ["relbr", "--curve", _C, *_REST[:4], *_REST[6:], "--gens", "5,5;16,60"],
+    ],
+    ids=["torsion", "pairing", "relbr-auto", "relbr-auto-json", "relbr-points"],
+)
+def test_scanned_and_argparse_jobs_give_the_same_report(argv, capsys):
+    # --cur sends the same argv to argparse: the job is then an
+    # argparse.Namespace, and _job_from_args fills it as it fills _scan's
+    from relbrauer.cli import _build_parser, _scan
+
+    abbreviated = ["--cur" if arg == "--curve" else arg for arg in argv]
+    assert _scan(argv) is not None and _scan(abbreviated) is None
+    scanned, parsed = _job_from_args(argv), _job_from_args(abbreviated)
+    assert type(parsed) is type(_build_parser().parse_args(abbreviated))
+    assert vars(scanned) == vars(parsed)
+    assert run(scanned) == run(parsed)
+    capsys.readouterr()
+    assert _outcome(argv, capsys) == _outcome(abbreviated, capsys)
+
+
+def test_run_refuses_an_unknown_command():
+    from types import SimpleNamespace
+
+    with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
+        run(SimpleNamespace(command="frobnicate"))
+
+
+def test_a_new_option_needs_only_its_table_entry(monkeypatch):
+    # an option added to _OPTIONS with a runner that reads it reaches the
+    # job through the scanner and through argparse, with no other edit
+    import relbrauer.cli as cli
+
+    help_text, options, _ = cli._OPTIONS["torsion"]
+    options = {**options, "--depth": {"type": int, "default": 2}}
+    monkeypatch.setitem(
+        cli._OPTIONS, "torsion", (help_text, options, lambda job: {"depth": job.depth})
+    )
+    cli._build_parser.cache_clear()
+    try:
+        for argv, depth in [
+            (["torsion", "--curve", _C, "--depth", "5"], 5),
+            (["torsion", "--cur", _C, "--dep=5"], 5),
+            (["torsion", "--curve", _C], 2),
+        ]:
+            assert cli.run(cli._job_from_args(argv)) == {"depth": depth}, argv
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_literal_reads_integers_without_the_fraction_regex():

@@ -1,4 +1,4 @@
-"""Value semantics of the package's thirteen immutable value classes.
+"""Value semantics of the package's twelve immutable value classes.
 
 Equality, hashing, repr, immutability, constructor signatures, defaults and
 validation, pinned to what the frozen dataclasses they replaced defined.
@@ -26,7 +26,6 @@ from relbrauer import (
     TwoCocycle,
     WeierstrassCurve,
 )
-from relbrauer.cli import JobSpec
 from relbrauer.torsion import TorsionGroup
 
 
@@ -134,16 +133,6 @@ CASES = {
         "y=Fraction(0, 1)), 2),), elements=(CurvePoint(x=None, y=None), "
         "CurvePoint(x=Fraction(0, 1), y=Fraction(0, 1))))",
     ),
-    "JobSpec": (
-        lambda: JobSpec("pairing", _e1(), "json", _t(), 5, _t(), Quadratic(-1), False, (_t(),)),
-        lambda: JobSpec("pairing", _e1(), "json", _t(), 5, _t(), Quadratic(-1), True, (_t(),)),
-        ("command", "curve", "output", "t", "m", "p", "ext", "gens_auto", "gens"),
-        "JobSpec(command='pairing', curve=WeierstrassCurve(a1=Fraction(0, 1), "
-        "a2=Fraction(-1, 1), a3=Fraction(1, 1), a4=Fraction(-10, 1), a6=Fraction(-20, 1)), "
-        "output='json', t=CurvePoint(x=Fraction(5, 1), y=Fraction(5, 1)), m=5, "
-        "p=CurvePoint(x=Fraction(5, 1), y=Fraction(5, 1)), ext=Quadratic(d=-1), "
-        "gens_auto=False, gens=(CurvePoint(x=Fraction(5, 1), y=Fraction(5, 1)),))",
-    ),
 }
 
 
@@ -239,10 +228,6 @@ def test_defaults_and_derived_fields():
     assert WeierstrassCurve(F(1, 2), 0, F(1, 3), 1, 1)._scaled == (6, 3, 0, 2, 6, 6)
     m = ModelMap(u=1, r=2, s=3, t=4)
     assert all(type(getattr(m, f)) is F for f in ("u", "r", "s", "t"))
-    job = JobSpec(command="torsion", curve=curve)
-    assert job.output == "text"
-    assert (job.t, job.m, job.p, job.ext, job.gens) == (None, None, None, None, None)
-    assert job.gens_auto is True
     assert Quadratic(-15).primes == (3, 5)
     z = Cyclotomic(conductor=11, generators=(21, 1, 10))
     assert (z.generators, z.degree, z.primes, z.sigma) == ((10,), 5, (11,), 2)
