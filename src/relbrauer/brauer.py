@@ -74,6 +74,7 @@ class Quadratic(_Value):
         object.__setattr__(self, "d", d)
         self.__post_init__()
 
+    # bench/tracer.py wraps this by name
     def __post_init__(self):
         if not isinstance(self.d, int):
             raise ValueError("quadratic descriptor takes an integer")
@@ -102,9 +103,6 @@ class Quadratic(_Value):
 
     def literal(self) -> str:
         return f"quad:{self.d}"
-
-    def __str__(self):
-        return f"Q(sqrt({self.d}))"
 
 
 def _unit_generators(n: int, exps: dict[int, int]) -> list[tuple]:
@@ -255,6 +253,7 @@ class Cyclotomic(_Value):
         object.__setattr__(self, "generators", generators)
         self.__post_init__()
 
+    # bench/tracer.py wraps this by name
     def __post_init__(self):
         n = self.conductor
         if not isinstance(n, int) or n < 3:
@@ -309,6 +308,7 @@ class Cyclotomic(_Value):
                 plan.append((w, _log_steps(coordinate, m // gcd(w, m), table)))
         self._set(n, tuple(sorted(canonical - {1})), m, tuple(sorted(exps)), sigma, tuple(plan))
 
+    # bench/tracer.py wraps this by name
     @classmethod
     def from_generators(cls, conductor: int, generators) -> "Cyclotomic":
         """Descriptor with H the subgroup generated by the given residues,
@@ -328,21 +328,12 @@ class Cyclotomic(_Value):
     def literal(self) -> str:
         return f"cyclo:{self.conductor}:" + (",".join(map(str, self.generators)) or "1")
 
-    def __str__(self):
-        return f"degree-{self.degree} subfield of Q(zeta_{self.conductor})"
-
 
 def _valuation_and_unit(r: Fraction, p: int) -> tuple[int, int, int]:
     # returns (v_p(r), unit numerator, unit denominator)
     v, num = split_prime_power(r.numerator, p)
     w, den = split_prime_power(r.denominator, p)
     return v - w, num, den
-
-
-def _legendre_unit(num: int, den: int, p: int) -> int:
-    # Legendre symbol of the unit num/den at an odd prime p; (1/den) = (den)
-    t = pow(num * den % p, (p - 1) // 2, p)
-    return -1 if t == p - 1 else 1
 
 
 def hilbert_symbol(a, b, place) -> int:
@@ -369,9 +360,9 @@ def hilbert_symbol(a, b, place) -> int:
         sign = 1
         if alpha * beta * epsilon % 2:
             sign = -sign
-        if beta % 2 and _legendre_unit(a_num, a_den, p) == -1:
+        if beta % 2 and _jacobi(a_num * a_den, p) == -1:
             sign = -sign
-        if alpha % 2 and _legendre_unit(b_num, b_den, p) == -1:
+        if alpha % 2 and _jacobi(b_num * b_den, p) == -1:
             sign = -sign
         return sign
     # p = 2: unit residues mod 8 (odd d has d^-1 = d mod 8)
@@ -419,10 +410,11 @@ class CyclicAlgebraClass(_Value):
     but a composite key is not detected, since a primality test would
     cost one per prime of b on every pairing (brauer_pairing passes the
     primes factor returns).  primes holds the primes dividing b_raw,
-    ascending, and the local symbols reuse them.  _invariants keeps the
-    class's own places and its local invariants there once class_status
-    or quaternion_group_invariants has computed them.  None of
-    b_normalized, primes and _invariants is compared.
+    ascending, and the local symbols reuse them.  _invariants holds the
+    class's own places, class_places(ext, primes), and its local
+    invariants there, computed here: class_status and
+    quaternion_group_invariants read them.  None of b_normalized, primes
+    and _invariants is compared.
     """
 
     __slots__ = ("m", "ext", "b_raw", "b_normalized", "primes", "_invariants")
@@ -454,7 +446,9 @@ class CyclicAlgebraClass(_Value):
             if num != abs(b_raw.numerator) or den != b_raw.denominator:
                 raise ValueError("exponents do not multiply back to b_raw")
         b_normalized = mth_power_free_part(b_raw, m, exponents)
-        self._set(m, ext, b_raw, b_normalized, tuple(sorted(exponents)), None)
+        self._set(m, ext, b_raw, b_normalized, tuple(sorted(exponents)))
+        places = class_places(ext, self.primes)
+        object.__setattr__(self, "_invariants", (places, local_invariants(self, places)))
 
 
 def class_places(ext, b_primes) -> list:
@@ -492,17 +486,6 @@ def local_invariants(alg: CyclicAlgebraClass, places) -> list[int]:
     return [alg.ext.coset_index(a) for a in local_symbols(alg, places)]
 
 
-def _own_invariants(alg: CyclicAlgebraClass) -> tuple[list, list[int]]:
-    """The class's own places, class_places(ext, alg.primes), and its local
-    invariants there: computed on first use and kept on the class."""
-    found = alg._invariants
-    if found is None:
-        places = class_places(alg.ext, alg.primes)
-        found = (places, local_invariants(alg, places))
-        object.__setattr__(alg, "_invariants", found)
-    return found
-
-
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
 
@@ -531,11 +514,6 @@ class ClassStatus(_Value):
     def nontrivial(cls, witness: int) -> "ClassStatus":
         return cls(NONTRIVIAL, witness)
 
-    def __str__(self):
-        if self.kind == NONTRIVIAL:
-            return f"nontrivial (witness prime {self.witness})"
-        return self.kind
-
 
 def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
     """Decide a class from its local invariants: trivial iff all vanish.
@@ -546,7 +524,7 @@ def class_status(alg: CyclicAlgebraClass) -> ClassStatus:
     - Cyclotomic: the least failing prime not dividing N if there is one,
       otherwise the least failing prime dividing N.
     """
-    places, invariants = _own_invariants(alg)
+    places, invariants = alg._invariants
     failing = [
         place for place, k in zip(places, invariants) if k and place != INFINITE_PLACE
     ]
@@ -618,8 +596,8 @@ def quaternion_group_invariants(algs) -> tuple[int, ...]:
     (Z/m)^places.  For m = 2 that is (Z/2)^r, r copies of 2.  A place
     outside a class's own places is a prime p that divides neither N nor
     b, where the symbol is p^0 = 1 and the invariant 0, so each class's
-    own invariants, which class_status has already computed, are padded
-    with zeros.
+    own invariants, which its constructor has computed, are padded with
+    zeros.
     """
     algs = list(algs)
     if not algs:
@@ -631,7 +609,7 @@ def quaternion_group_invariants(algs) -> tuple[int, ...]:
     places = class_places(ext, set().union(*(alg.primes for alg in algs)))
     rows = []
     for alg in algs:
-        own = dict(zip(*_own_invariants(alg)))
+        own = dict(zip(*alg._invariants))
         rows.append([own.get(place, 0) for place in places])
     return _span_invariants(rows, ext.degree)
 

@@ -381,14 +381,14 @@ class WeierstrassCurve(_Value):
             n >>= 1
         return result
 
-    def point_order(self, p: CurvePoint, bound: int = ORDER_BOUND) -> int | None:
-        """Smallest n >= 1 with n*p = O, or None if it exceeds bound."""
+    def point_order(self, p: CurvePoint) -> int | None:
+        """Smallest n >= 1 with n*p = O, or None if it exceeds ORDER_BOUND."""
         self._require(p)
         q = p
-        for n in range(1, bound + 1):
+        for n in range(1, ORDER_BOUND + 1):
             if q.is_infinity:
                 return n
-            if n < bound:
+            if n < ORDER_BOUND:
                 q = self.add(q, p)
         return None
 

@@ -554,26 +554,6 @@ class Poly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        coeffs = self.coeffs
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm; poly_gcd(0, 0) == 0.

@@ -202,27 +202,6 @@ class EllFn:
     def __repr__(self):
         return f"EllFn(a={self.a!r}, b={self.b!r}, d={self.d!r})"
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        num_parts = []
-        if not self.a.is_zero:
-            num_parts.append(str(self.a))
-        if not self.b.is_zero:
-            bs = str(self.b)
-            if bs == "1":
-                num_parts.append("y")
-            elif bs == "-1":
-                num_parts.append("-y")
-            elif self.b.degree == 0:
-                num_parts.append(f"{bs}*y")
-            else:
-                num_parts.append(f"({bs})*y")
-        num = " + ".join(num_parts).replace("+ -", "- ")
-        if self.d == Poly((1,)):
-            return num
-        return f"({num})/({self.d})"
-
     def is_constant(self) -> Fraction | None:
         """The constant value, or None when nonconstant."""
         if self.b.is_zero and self.a.degree <= 0 and self.d.degree == 0:

@@ -30,7 +30,6 @@ from relbrauer import (
 from relbrauer.brauer import _unit_generators
 from relbrauer.curve import (
     INFINITY,
-    ORDER_BOUND,
     CurvePoint,
     ModelMap,
     WeierstrassCurve,
@@ -206,11 +205,11 @@ def torsion_subgroup_by_full_search(curve):
     for y in _sieve(_square_divisor_roots(int(short.discriminant())), a4, a6):
         for x in _integer_roots_depressed_cubic(a4, a6 - y * y):
             p = CurvePoint(x, y)
-            if short.point_order(p, ORDER_BOUND) is not None:
+            if short.point_order(p) is not None:
                 found.add(p)
                 found.add(short.negate(p))
     pulled = [phi.pull_point(p) for p in found]
-    rows = [((p.x, p.y), p, curve.point_order(p, ORDER_BOUND)) for p in pulled]
+    rows = [((p.x, p.y), p, curve.point_order(p)) for p in pulled]
     return _presentation(curve, rows)
 
 

@@ -553,12 +553,58 @@ def test_class_status_constructors():
     assert ClassStatus.trivial().witness is None
     with pytest.raises(ValueError):
         ClassStatus("undetermined")
-    assert str(ClassStatus.nontrivial(7)) == "nontrivial (witness prime 7)"
-    assert str(ClassStatus.trivial()) == "trivial"
     with pytest.raises(ValueError):
         ClassStatus("nontrivial", None)
     with pytest.raises(ValueError):
         ClassStatus("trivial", 5)
+
+
+def _pool_pairing_classes():
+    # the class brauer_pairing builds for every pairing argv of the reference pools
+    from relbrauer.cli import _job_from_args
+    from relbrauer.cocycle import RationalCocycle, brauer_pairing
+
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    for pool in sorted(reference.glob("*.json")):
+        for entries in json.loads(pool.read_text()).values():
+            for entry in entries:
+                if entry["argv"][0] == "pairing" and "results" in entry["answer"]:
+                    job = _job_from_args(entry["argv"])
+                    yield brauer_pairing(RationalCocycle(job.curve, job.m, job.t), job.p, job.ext)
+
+
+def _seeded_classes():
+    rng = random.Random(37)
+    fields = _random_cyclotomic_fields(rng, 40) + [Quadratic(d) for d in (-1, 2, -3, 5, 6, -15)]
+    for ext in fields:
+        for _ in range(5):
+            yield CyclicAlgebraClass(ext.degree, ext, _random_scalar(rng))
+
+
+@pytest.mark.parametrize("classes, least", [(_pool_pairing_classes, 1900), (_seeded_classes, 230)],
+                         ids=["pool-pairings", "seeded"])
+def test_constructor_decides_the_class(monkeypatch, classes, least):
+    # a class holds its own places and local invariants once it is built,
+    # and class_status and quaternion_group_invariants compute no symbol
+    import relbrauer.brauer as brauer_mod
+
+    calls, real = [], brauer_mod.local_symbols
+
+    def counting(alg, places):
+        calls.append(alg)
+        return real(alg, places)
+
+    monkeypatch.setattr(brauer_mod, "local_symbols", counting)
+    built = 0
+    for alg in classes():
+        places = class_places(alg.ext, alg.primes)
+        assert alg._invariants == (places, local_invariants(alg, places)), alg
+        calls.clear()
+        class_status(alg)
+        quaternion_group_invariants([alg])
+        assert calls == [], alg
+        built += 1
+    assert built >= least
 
 
 def test_class_status_quadratic_is_decisive():

@@ -562,9 +562,6 @@ def test_point_order_stops_at_the_bound(add_calls):
     # 90c3's (-9, 49) has order 12, the bound
     assert WeierstrassCurve(1, -1, 1, -122, 1721).point_order(CurvePoint(F(-9), F(49))) == 12
     assert len(add_calls) == 11
-    add_calls.clear()
-    assert curve.point_order(CurvePoint(F(0), F(0)), bound=1) is None
-    assert add_calls == []
 
 
 def test_to_short_integral_general_model(order5_curve, order5_gen):

@@ -623,31 +623,11 @@ def _ref_call(a, x):
     return acc
 
 
-def _ref_str(a):
-    if not a:
-        return "0"
-    parts = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            body = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
 def _check(p, ref):
     assert type(p.coeffs) is tuple and all(type(c) is F for c in p.coeffs)
     assert p.coeffs == ref
     assert p == Poly(ref) and hash(p) == hash(ref)
-    assert str(p) == _ref_str(ref) and repr(p) == f"Poly({list(ref)!r})"
+    assert repr(p) == f"Poly({list(ref)!r})"
 
 
 def _random_coeffs(rng):

@@ -264,12 +264,6 @@ def test_translate_raises_no_polynomial_to_a_power(monkeypatch, p, b):
     assert len(translates) == 4
 
 
-def test_str(order5_curve, xy):
-    x, y = xy
-    f = (5 * x + y - 19) / (x - 5) ** 2
-    assert str(f) == "(5*x - 19 + y)/(x^2 - 10*x + 25)"
-
-
 def test_immutability(order5_curve, xy):
     x, _ = xy
     with pytest.raises(AttributeError):
